@@ -298,7 +298,9 @@ impl<'a> WhatIfService<'a> {
             .unwrap_or(1);
 
         // Physically recluster a clone and register it in a scratch catalog:
-        // the what-if world. (The data is identical; only zone maps change.)
+        // the what-if world. (The data is identical; only zone maps change.
+        // A catalog clone has no page store, so this never rewrites the live
+        // table's files.)
         let reclustered = entry.table.reclustered_by(col_idx, rows_per_part)?;
         let mut scratch = self.catalog.clone();
         scratch.register(reclustered);

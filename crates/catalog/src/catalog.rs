@@ -20,16 +20,30 @@ pub struct TableEntry {
 
 /// The warehouse catalog. Name lookup is case-insensitive (names are
 /// normalized to lowercase, matching the SQL front end).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct Catalog {
     by_name: HashMap<String, TableEntry>,
     by_id: HashMap<TableId, String>,
-    /// Lazily-created on-disk page store (`CIPF` files). Clones of the
-    /// catalog share the same store, so scratch copies (what-if analyses)
-    /// don't re-materialize files.
+    /// Lazily-created on-disk page store (`CIPF` files). Never shared with
+    /// clones (see the `Clone` impl).
     store: OnceLock<Arc<ObjectStoreDir>>,
     /// Lazily-created physical tier stack over `store`.
     tiers: OnceLock<Arc<TierStore>>,
+}
+
+/// A clone shares every table but not the page store or the tier stack: a
+/// scratch copy — what-if analyses register reclustered tables into one —
+/// must have no write path to the files the original's queries read. The
+/// clone creates its own store if it ever needs one.
+impl Clone for Catalog {
+    fn clone(&self) -> Catalog {
+        Catalog {
+            by_name: self.by_name.clone(),
+            by_id: self.by_id.clone(),
+            store: OnceLock::new(),
+            tiers: OnceLock::new(),
+        }
+    }
 }
 
 impl Catalog {
@@ -54,11 +68,13 @@ impl Catalog {
         self.by_id.insert(id, name.clone());
         self.by_name.insert(name, entry.clone());
         // Write-through: if the on-disk page store is already materialized,
-        // keep it in sync so a tiered executor never reads stale files.
-        // Best-effort by design — `register` predates fallible storage, and
-        // the executor's own `ensure_table` surfaces any write error at
-        // query time.
-        if let Some(store) = self.store.get() {
+        // keep it in sync so a disk-backed executor never reads stale files,
+        // and drop the tier stack's copies of the old layout. Best-effort by
+        // design — `register` predates fallible storage, and the executor's
+        // own `ensure_table` surfaces any write error at query time.
+        if let Some(tiers) = self.tiers.get() {
+            let _ = tiers.ensure_table(&entry.table);
+        } else if let Some(store) = self.store.get() {
             let _ = store.ensure_table(&entry.table);
         }
         entry
@@ -126,7 +142,8 @@ mod tests {
     use ci_storage::batch::RecordBatch;
     use ci_storage::column::ColumnData;
     use ci_storage::schema::{Field, Schema};
-    use ci_storage::table::table_from_batch;
+    use ci_storage::table::{table_from_batch, TableBuilder};
+    use ci_storage::tiers::ServedFrom;
     use ci_storage::value::DataType;
 
     use super::*;
@@ -173,6 +190,41 @@ mod tests {
         c.register(bigger);
         assert_eq!(c.len(), 1);
         assert_eq!(c.get("t").unwrap().stats.row_count, 5);
+    }
+
+    /// Re-registering a table rewrites its files; cached copies of the old
+    /// layout in either cache tier must not outlive the rewrite.
+    #[test]
+    fn reregistration_drops_stale_tier_copies() {
+        let mut c = Catalog::new();
+        let schema = StdArc::new(Schema::of(vec![Field::new("id", DataType::Int64)]));
+        let batch = RecordBatch::new(
+            schema.clone(),
+            vec![ColumnData::Int64(vec![5, 1, 4, 2, 3, 0])],
+        )
+        .unwrap();
+        let mut b = TableBuilder::new(TableId::new(0), "t", schema, 2).unwrap();
+        b.append(batch).unwrap();
+        let entry = c.register(b.finish().unwrap());
+        let tiers = c.tier_store().unwrap();
+        tiers.object_store().ensure_table(&entry.table).unwrap();
+        let id = entry.table.id;
+        for part in 0..entry.table.partition_count() as u32 {
+            tiers.promote_ssd(id, part).unwrap();
+            tiers.promote_mem(id, part).unwrap();
+        }
+        assert_eq!(tiers.read_partition(id, 0).unwrap().1, ServedFrom::Mem);
+
+        let reclustered = c.register(entry.table.reclustered_by(0, 2).unwrap());
+        assert_ne!(
+            reclustered.table.partitions[0].batch, entry.table.partitions[0].batch,
+            "the recluster must move rows between partitions"
+        );
+        for (part, fresh) in reclustered.table.partitions.iter().enumerate() {
+            let (got, _) = tiers.read_partition(id, part).unwrap();
+            assert_eq!(got, fresh.batch, "partition {part} serves the new layout");
+        }
+        assert_eq!(tiers.mem_entries(), 0);
     }
 
     #[test]

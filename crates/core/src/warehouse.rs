@@ -576,6 +576,41 @@ mod tests {
         assert!(proposals[0].narrative.contains("$"));
     }
 
+    /// What-if evaluation of a recluster must leave the live table's page
+    /// files alone: the reclustered copy lives in a scratch catalog only.
+    #[test]
+    fn whatif_recluster_leaves_live_page_files_untouched() {
+        let catalog = CabGenerator::at_scale(0.05).build_catalog().unwrap();
+        let mut config = WarehouseConfig::default();
+        config.execution.page_source = ci_exec::PageSourceMode::Disk;
+        let mut w = Warehouse::new(catalog, config);
+        for _ in 0..3 {
+            w.submit(
+                "SELECT COUNT(*) FROM orders WHERE o_date < 100",
+                Constraint::MinCost,
+            )
+            .unwrap();
+        }
+        let orders = w.catalog().get("orders").unwrap().table.clone();
+        let store = w.catalog().page_store().unwrap();
+        let read_files = || -> Vec<Vec<u8>> {
+            (0..orders.partition_count())
+                .map(|p| std::fs::read(store.partition_path(orders.id, p)).unwrap())
+                .collect()
+        };
+        let before = read_files();
+
+        let proposals = w.tuning_proposals().unwrap();
+        assert!(
+            proposals.iter().any(|p| matches!(
+                &p.action,
+                TuningAction::Recluster { table, .. } if table == "orders"
+            )),
+            "the o_date filter should make reclustering orders a candidate"
+        );
+        assert!(before == read_files(), "what-if rewrote live page files");
+    }
+
     #[test]
     fn budget_constraint_reported() {
         let mut w = warehouse(0.05);

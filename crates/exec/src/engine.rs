@@ -1,4 +1,4 @@
-//! The morsel-driven query executor: one accounting core, two drivers.
+//! The morsel-driven query executor: one accounting loop, one trace path.
 //!
 //! Execution walks the pipeline DAG bottom-up. Each pipeline:
 //!
@@ -21,49 +21,49 @@
 //! resource-waste mechanism behind the paper's equal-finish-time heuristic:
 //! a build that finishes early idles (and bills) until its probe completes.
 //!
-//! # Simulate vs. Parallel
+//! # One trace path
 //!
-//! Per-morsel work is split into two phases so one accounting code path can
-//! serve two execution modes ([`ExecutionMode`]):
+//! Per-morsel work is split into two phases:
 //!
 //! * **processing** — the pure operator chain (scan filter, filters,
 //!   projections, probes, transfer-point compaction) recorded into a
-//!   `MorselTrace`. This phase touches no shared mutable state, so
-//!   [`ExecutionMode::Parallel`] runs it on a persistent
-//!   [`crate::parallel::WorkerPool`] whose Condvar-parked
-//!   threads outlive individual queries; [`ExecutionMode::Simulate`] runs
-//!   it inline. Processing itself is split again into a *fetch* stage
-//!   (`ChainCtx::fetch_morsel`: page decode / batch materialization) and
-//!   a *compute* stage (`ChainCtx::compute_morsel`), which the pool
-//!   overlaps — workers prefetch upcoming morsels while others compute.
+//!   `MorselTrace`. It touches no shared mutable state and stops at the
+//!   first `LIMIT` step. Processing is itself a *fetch* stage
+//!   (`ChainCtx::fetch_morsel`: batch slice or page-file decode) and a
+//!   *compute* stage (`ChainCtx::compute_morsel`), which the worker pool
+//!   overlaps.
 //! * **accounting** — always on the driver, in canonical morsel order:
-//!   virtual-time list scheduling, wire-format byte accounting (the encoder
-//!   stream is order-dependent: a dictionary ships once), `LIMIT`
-//!   consumption, per-node cardinalities, and sink feeds (aggregate folding
-//!   is IEEE-float order-sensitive, so the per-worker partial traces are
-//!   merged here, at the pipeline breaker, in morsel order).
+//!   virtual-time list scheduling, tier-cache and fault draws, wire-format
+//!   byte accounting (the encoder stream is order-dependent: a dictionary
+//!   ships once), `LIMIT` consumption (`ChainCtx::complete_trace`),
+//!   per-node cardinalities, and sink feeds (aggregate folding is
+//!   IEEE-float order-sensitive, so it happens here, at the breaker).
 //!
-//! Everything that determines results, logical row counts, and billed
-//! `Dollars` lives in the accounting phase, which is why the parallel path
-//! is bit-identical to the simulator *by construction* — the simulator stays
-//! the determinism oracle, and the parallel runtime only changes wall-clock.
-//! Parallel runs additionally record per-operator-class wall-clock
-//! ([`OpSample`]) that `cost::calibration::MeasuredRates` aggregates into
-//! hardware rates.
+//! `run_pipeline` takes every trace from one place: the pool's output when
+//! a [`WorkerPool`] ran the pipeline ([`ExecutionMode::Parallel`]),
+//! otherwise `ChainCtx::process_morsel` called inline and lazily
+//! ([`ExecutionMode::Simulate`], the determinism oracle). The mode is
+//! resolved once, into the optional pool, in [`Executor::execute`]; the
+//! accounting never branches on it. Everything that determines results,
+//! row counts, and billed `Dollars` lives in the accounting phase, so the
+//! parallel runtime is bit-identical to the simulator by construction and
+//! only changes wall-clock. With a pool, per-operator-class wall-clock
+//! ([`OpSample`]) is recorded for `cost::calibration::MeasuredRates`.
+//!
+//! Faults exist only in the bill: draws are pure in `(seed, pipeline,
+//! morsel)`, retries, hedges, and preemption are charged in the accounting
+//! phase, and no morsel is ever processed twice.
 //!
 //! One aggregation fast path relaxes the *structural* part of that story
 //! without touching the observable part: when every aggregate in a sink is
 //! provably order-insensitive ([`AggregateState::mergeable`] — integer
-//! sums, counts, non-float min/max, distinct sets), the morsel list is
-//! split into contiguous chunks and each worker folds its chunk into a
-//! local [`AggregateState`] as it computes, instead of shipping per-morsel
-//! sink batches back through the trace. The driver still walks every trace
-//! in canonical order (its tail carries the sink-feed row counts, so
-//! charges and metrics are unchanged), then absorbs the chunk states in
-//! chunk order before finalizing — reproducing the sequential fold's
-//! groups, order, and values exactly. Final results, cardinalities, and
-//! `Dollars` stay bit-identical to the simulator; the equivalence is pinned
-//! by `tests/partial_agg_equivalence.rs`.
+//! sums, counts, non-float min/max, distinct sets), pool workers fold
+//! contiguous morsel chunks into chunk-local [`AggregateState`]s instead of
+//! shipping per-morsel sink batches back through the trace. The driver
+//! still walks every trace in canonical order (its tail carries the
+//! sink-feed row counts, so charges and metrics are unchanged), then
+//! absorbs the chunk states in chunk order before finalizing. The
+//! equivalence is pinned by `tests/partial_agg_equivalence.rs`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -78,8 +78,7 @@ use ci_obs::{Lane, NodeProfile, ProfileReport, Trace, TraceEvent, TraceLevel, Wo
 use ci_plan::expr::{ColMap, PlanExpr};
 use ci_plan::physical::{PhysicalOp, PhysicalPlan};
 use ci_plan::pipeline::{Pipeline, PipelineGraph, SinkKind};
-use ci_storage::column::ColumnData;
-use ci_storage::pages::{decode_column, encode_best, WireDecoder, WireEncoder};
+use ci_storage::pages::{WireDecoder, WireEncoder};
 use ci_storage::schema::SchemaRef;
 use ci_storage::selection::SelectionVector;
 use ci_storage::tiers::{DiskSource, PageSource, PageSourceMode, TierStore, TieredSource};
@@ -169,14 +168,6 @@ pub struct ExecutionConfig {
     /// `Dollars` are unchanged either way; the toggle exists so tests and
     /// benchmarks can pin the trace-fold baseline.
     pub partial_agg: bool,
-    /// Really round-trip scan morsels through the storage page codecs: at
-    /// morsel split, non-dictionary columns are encoded into pages, and the
-    /// fetch stage decodes them back (dictionary columns ride as shared
-    /// `Arc`s, like the wire's dictionary dedup). Applied in *both* modes,
-    /// so parallel runs stay bit-identical to the simulator; billed fetch
-    /// bytes come from partition statistics and are unchanged by
-    /// construction. Off by default: the simulation only needs byte counts.
-    pub fetch_roundtrip: bool,
     /// Worker pool for [`ExecutionMode::Parallel`]. `None` (default) uses
     /// the process-wide [`WorkerPool::shared`] pool for the mode's worker
     /// count; set an owned pool to control thread lifetime explicitly
@@ -236,7 +227,6 @@ impl Default for ExecutionConfig {
             wire_roundtrip: false,
             mode: ExecutionMode::from_env(),
             partial_agg: true,
-            fetch_roundtrip: false,
             pool: None,
             faults: FaultPlan::from_env(),
             trace: TraceLevel::from_env(),
@@ -308,9 +298,6 @@ struct TierPart {
 pub(crate) enum Payload {
     /// Memory-resident batch (breaker outputs; `Mem` page source).
     Batch(RecordBatch),
-    /// With [`ExecutionConfig::fetch_roundtrip`]: the payload as
-    /// really-encoded storage pages, decoded by the fetch stage.
-    Pages(EncodedMorsel),
     /// Disk-backed: the fetch stage reads the partition through a
     /// [`PageSource`] (real `CIPF` file bytes or the tier stack) — no
     /// resident decoded table rides along.
@@ -326,23 +313,6 @@ pub(crate) struct FileMorsel {
     len: usize,
     /// The pipeline's slot schema the fetched batch is re-labelled under.
     schema: SchemaRef,
-}
-
-/// A morsel's payload in page form (the `fetch_roundtrip` representation).
-pub(crate) struct EncodedMorsel {
-    schema: SchemaRef,
-    cols: Vec<PageOrCol>,
-}
-
-/// One column of an [`EncodedMorsel`].
-pub(crate) enum PageOrCol {
-    /// A storage page the fetch stage decodes.
-    Page(Vec<u8>),
-    /// Passed through as-is: dictionary columns ride as shared `Arc`s so
-    /// every morsel of a partition keeps the *same* dictionary identity
-    /// (page decode would mint per-morsel dictionaries and break the
-    /// exchange wire's ship-once dedup).
-    Col(Arc<ColumnData>),
 }
 
 /// Precompiled streaming step of a pipeline's operator chain.
@@ -426,8 +396,8 @@ pub(crate) struct ChainCtx {
     src_filter: Option<PlanExpr>,
     src_map: ColMap,
     states: HashMap<usize, Arc<NodeState>>,
-    /// Record wall-clock [`OpSample`]s (parallel mode only — the simulator
-    /// reports 0 measured time by contract).
+    /// Record wall-clock [`OpSample`]s (only when a worker pool runs the
+    /// pipeline — the inline producer reports 0 measured time by contract).
     measure: bool,
     /// Containment-testing trap: compute panics on a morsel with exactly
     /// this many source rows. Always `None` in the engine; pool tests set
@@ -499,9 +469,9 @@ pub(crate) fn timed<T>(
 }
 
 impl ChainCtx {
-    /// The fetch/decode stage: materializes a morsel's payload batch. A
-    /// cheap `Arc` clone normally; with [`ExecutionConfig::fetch_roundtrip`]
-    /// it really decodes the morsel's storage pages. Separated from
+    /// The fetch/decode stage: materializes a morsel's payload batch — a
+    /// cheap `Arc` clone for resident batches, a real page-file read and
+    /// decode for file-backed morsels. Separated from
     /// [`ChainCtx::compute_morsel`] so the worker pool can prefetch
     /// upcoming morsels while earlier ones compute. Emits no [`OpSample`]s:
     /// the operator-class set the calibrator sees is fixed, and billed
@@ -510,17 +480,6 @@ impl ChainCtx {
     pub(crate) fn fetch_morsel(&self, morsel: &Morsel) -> Result<RecordBatch> {
         match &morsel.payload {
             Payload::Batch(batch) => Ok(batch.clone()),
-            Payload::Pages(em) => {
-                let cols = em
-                    .cols
-                    .iter()
-                    .map(|c| match c {
-                        PageOrCol::Col(col) => Ok(col.clone()),
-                        PageOrCol::Page(bytes) => decode_column(bytes).map(Arc::new),
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                RecordBatch::from_arcs(em.schema.clone(), cols)
-            }
             Payload::File(f) => {
                 // Real bytes: read + checksum + decode the partition file
                 // (or whatever tier physically holds it), then carve out
@@ -539,13 +498,10 @@ impl ChainCtx {
     }
 
     /// The compute stage: runs a fetched batch through the operator chain,
-    /// producing the morsel's trace. See [`ChainCtx::process_morsel`] for
-    /// the `limit` contract.
-    pub(crate) fn compute_morsel(
-        &self,
-        mut batch: RecordBatch,
-        limit: Option<&mut Option<u64>>,
-    ) -> Result<MorselTrace> {
+    /// producing the morsel's trace. Stops at the first `LIMIT` step, which
+    /// needs the driver's shared limit state; the driver finishes the chain
+    /// via [`ChainCtx::complete_trace`].
+    pub(crate) fn compute_morsel(&self, mut batch: RecordBatch) -> Result<MorselTrace> {
         let mut samples = Vec::new();
         let mut wall_ns = 0u64;
         let source_rows = batch.rows() as u64;
@@ -568,7 +524,7 @@ impl ChainCtx {
             src_post_rows = batch.rows() as u64;
         }
         let mut steps = Vec::new();
-        let tail = self.process_chain(batch, 0, limit, &mut steps, &mut samples, &mut wall_ns)?;
+        let tail = self.process_chain(batch, 0, None, &mut steps, &mut samples, &mut wall_ns)?;
         Ok(MorselTrace {
             source_rows,
             src_post_rows,
@@ -580,17 +536,8 @@ impl ChainCtx {
     }
 
     /// Processes one morsel through fetch + compute, producing its trace.
-    ///
-    /// With `limit: Some(..)` (simulator / driver), `LIMIT` steps are
-    /// applied inline against the shared remaining-rows state. With `None`
-    /// (parallel workers), processing stops at the first `LIMIT` step and
-    /// the driver finishes the chain via [`ChainCtx::complete_trace`].
-    pub(crate) fn process_morsel(
-        &self,
-        morsel: &Morsel,
-        limit: Option<&mut Option<u64>>,
-    ) -> Result<MorselTrace> {
-        self.compute_morsel(self.fetch_morsel(morsel)?, limit)
+    pub(crate) fn process_morsel(&self, morsel: &Morsel) -> Result<MorselTrace> {
+        self.compute_morsel(self.fetch_morsel(morsel)?)
     }
 
     /// Partial-aggregation processing: fetch + compute, then fold the sink
@@ -604,7 +551,7 @@ impl ChainCtx {
         morsel: &Morsel,
         st: &mut AggregateState,
     ) -> Result<MorselTrace> {
-        let mut trace = self.compute_morsel(self.fetch_morsel(morsel)?, None)?;
+        let mut trace = self.process_morsel(morsel)?;
         let Tail::Done(batch) = trace.tail else {
             return Err(CiError::Exec(
                 "partial-agg morsel stopped mid-chain (LIMIT in an agg pipeline?)".into(),
@@ -629,9 +576,9 @@ impl ChainCtx {
         Ok(trace)
     }
 
-    /// Resumes a worker-produced trace that stopped at a `LIMIT` step,
-    /// running the remaining chain against the driver's real limit state.
-    /// A no-op for already-complete traces.
+    /// Resumes a trace that stopped at a `LIMIT` step, running the
+    /// remaining chain against the driver's real limit state. A no-op for
+    /// already-complete traces.
     pub(crate) fn complete_trace(
         &self,
         t: MorselTrace,
@@ -917,7 +864,7 @@ impl<'a> Executor<'a> {
                 &mut tracer,
                 tier_rt.as_ref(),
             )?;
-            finishes[p.id.index()] = run.finish;
+            finishes[p.id.index()] = run.metrics.finish;
             resize_events += run.metrics.resizes;
             all_metrics.push(run.metrics);
             open_leases.push(run.slots);
@@ -1074,14 +1021,9 @@ impl<'a> Executor<'a> {
                 }
                 let schema = slots_schema(&plan.nodes[src].out_slots, &plan.slot_types);
                 let mut morsels = Vec::new();
-                let mut total_rows = 0f64;
                 for &pi in kept_parts {
                     let part = &entry.table.partitions[pi];
-                    total_rows += part.rows() as f64;
                     let rows = part.rows();
-                    if rows == 0 {
-                        continue;
-                    }
                     // Partition identity rides on every morsel (whatever the
                     // page source) so cache accounting sees one trace.
                     let tier_part = Some(TierPart {
@@ -1091,54 +1033,45 @@ impl<'a> Executor<'a> {
                     });
                     let encoded = part.encoded_bytes as f64;
                     let decoded = part.stored_bytes as f64;
-                    if let Some(psrc) = page_src {
-                        // File-backed morsels carry no resident batch: the
-                        // fetch stage reads real page-file bytes.
-                        let mut offset = 0;
-                        while offset < rows {
-                            let len = self.config.morsel_rows.min(rows - offset);
-                            let share = len as f64 / rows as f64;
-                            morsels.push(Morsel {
-                                payload: Payload::File(FileMorsel {
-                                    source: psrc.clone(),
-                                    table: *table_id,
-                                    part: pi as u32,
-                                    offset,
-                                    len,
-                                    schema: schema.clone(),
-                                }),
-                                fetch_bytes: encoded * share,
-                                decode_bytes: decoded * share,
-                                tier_part,
-                            });
-                            offset += len;
-                        }
-                        continue;
-                    }
-                    // Re-label the partition's payload under the engine's
-                    // slot schema without copying column data (Arc-shared).
-                    let batch = part.batch.with_schema(schema.clone())?;
-                    if rows <= self.config.morsel_rows {
-                        morsels.push(self.scan_morsel(batch, encoded, decoded, tier_part)?);
-                    } else {
-                        let mut offset = 0;
-                        while offset < rows {
-                            let len = self.config.morsel_rows.min(rows - offset);
-                            let share = len as f64 / rows as f64;
-                            morsels.push(self.scan_morsel(
-                                batch.slice(offset, len)?,
-                                encoded * share,
-                                decoded * share,
-                                tier_part,
-                            )?);
-                            offset += len;
-                        }
+                    let mut offset = 0;
+                    while offset < rows {
+                        let len = self.config.morsel_rows.min(rows - offset);
+                        let share = len as f64 / rows as f64;
+                        let payload = match page_src {
+                            // File-backed morsels carry no resident batch:
+                            // the fetch stage reads real page-file bytes.
+                            Some(psrc) => Payload::File(FileMorsel {
+                                source: psrc.clone(),
+                                table: *table_id,
+                                part: pi as u32,
+                                offset,
+                                len,
+                                schema: schema.clone(),
+                            }),
+                            // Re-label the partition's payload under the
+                            // engine's slot schema without copying column
+                            // data (Arc-shared).
+                            None => {
+                                let batch = part.batch.with_schema(schema.clone())?;
+                                Payload::Batch(if len == rows {
+                                    batch
+                                } else {
+                                    batch.slice(offset, len)?
+                                })
+                            }
+                        };
+                        morsels.push(Morsel {
+                            payload,
+                            fetch_bytes: encoded * share,
+                            decode_bytes: decoded * share,
+                            tier_part,
+                        });
+                        offset += len;
                     }
                 }
                 // Raw partition rows are *pre-filter* and not comparable to
                 // the planner's post-filter estimate; controllers must not
                 // treat them as an observed output cardinality.
-                let _ = total_rows;
                 Ok((morsels, None))
             }
             PhysicalOp::HashAgg { .. } | PhysicalOp::Sort { .. } => {
@@ -1170,45 +1103,6 @@ impl<'a> Executor<'a> {
                 other.name()
             ))),
         }
-    }
-
-    /// Builds one scan morsel, encoding its payload into storage pages when
-    /// [`ExecutionConfig::fetch_roundtrip`] asks the fetch stage to really
-    /// decode. Compacted first (pages are dense); dictionary columns pass
-    /// through as shared `Arc`s — see [`PageOrCol::Col`].
-    fn scan_morsel(
-        &self,
-        batch: RecordBatch,
-        fetch_bytes: f64,
-        decode_bytes: f64,
-        tier_part: Option<TierPart>,
-    ) -> Result<Morsel> {
-        let payload = if self.config.fetch_roundtrip {
-            let dense = batch.compacted();
-            let cols = dense
-                .columns()
-                .iter()
-                .map(|c| {
-                    if c.as_dict().is_some() {
-                        Ok(PageOrCol::Col(c.clone()))
-                    } else {
-                        encode_best(c).map(|(_, bytes)| PageOrCol::Page(bytes))
-                    }
-                })
-                .collect::<Result<Vec<_>>>()?;
-            Payload::Pages(EncodedMorsel {
-                schema: dense.schema().clone(),
-                cols,
-            })
-        } else {
-            Payload::Batch(batch)
-        };
-        Ok(Morsel {
-            payload,
-            fetch_bytes,
-            decode_bytes,
-            tier_part,
-        })
     }
 
     /// Compiles the streaming steps of a pipeline (everything after the
@@ -1270,11 +1164,14 @@ impl<'a> Executor<'a> {
         Ok(steps)
     }
 
-    /// Runs one pipeline to completion; returns finish time, node slots
-    /// (leases), metrics, and measured samples.
+    /// Runs one pipeline to completion; returns its node slots (leases),
+    /// metrics, and measured samples.
     ///
-    /// Both modes drive the same accounting loop below; they differ only in
-    /// where [`MorselTrace`]s come from (inline vs. the worker pool).
+    /// Every [`MorselTrace`] comes from one place: the pool's output when a
+    /// pool ran the pipeline, otherwise `ChainCtx::process_morsel` called
+    /// inline when the accounting loop reaches the morsel. Either way it is
+    /// finished through `ChainCtx::complete_trace` and then charged by the
+    /// same accounting loop.
     #[allow(clippy::too_many_arguments)]
     fn run_pipeline(
         &self,
@@ -1310,7 +1207,7 @@ impl<'a> Executor<'a> {
         let src_map = ColMap::from_slots(&plan.nodes[p.source()].out_slots);
 
         // Sink state.
-        let mut sink = self.make_sink(plan, p, states)?;
+        let mut sink = self.make_sink(plan, p)?;
         let mut limit_remaining: Option<u64> =
             p.nodes.iter().find_map(|&n| match plan.nodes[n].op {
                 PhysicalOp::Limit { n: lim } => Some(lim),
@@ -1320,15 +1217,16 @@ impl<'a> Executor<'a> {
         // Node slots: leases open at `start`, usable after provisioning +
         // per-node pipeline startup (+ exchange connection fan-out when the
         // pipeline shuffles or gathers data).
+        let dop = dop.max(1);
         let exchanges = steps
             .iter()
             .any(|s| matches!(s, Step::Exchange { .. } | Step::Gather { .. }));
         let mut startup = SimDuration::from_secs_f64(w.pipeline_startup_secs());
         if exchanges {
-            startup += SimDuration::from_secs_f64(w.exchange_startup_secs(dop.max(1)));
+            startup += SimDuration::from_secs_f64(w.exchange_startup_secs(dop));
         }
         let usable = start + self.config.resize_latency + startup;
-        let mut slots: Vec<NodeSlot> = (0..dop.max(1))
+        let mut slots: Vec<NodeSlot> = (0..dop)
             .map(|_| NodeSlot {
                 free: usable,
                 worked_until: None,
@@ -1336,33 +1234,29 @@ impl<'a> Executor<'a> {
                 lease_end: None,
             })
             .collect();
-        let mut cur_dop = dop.max(1);
-        let mut busy = SimDuration::ZERO;
-        let mut resizes = 0u32;
-        let mut source_rows = 0u64;
-        let mut sink_rows = 0u64;
-        let mut sink_rows_physical = 0u64;
+        // Every pipeline counter lives here and is incremented in place.
+        let mut m = PipelineMetrics {
+            id: p.id,
+            dop_initial: dop,
+            dop_final: dop,
+            start,
+            // Pool-reuse stats: jobs this pool finished before this pipeline.
+            pool_workers: pool.map_or(0, |p| p.workers() as u32),
+            pool_reuses: pool.map_or(0, WorkerPool::jobs_completed),
+            ..PipelineMetrics::default()
+        };
         let mut gather_bytes = 0f64;
         // One wire stream per pipeline execution: each shared dictionary
         // ships once, then dict columns ride as bit-packed ids. The paired
         // decoder is the receiver's dictionary cache (wire_roundtrip only).
-        // Replayed on the driver in canonical morsel order in both modes —
-        // the stream is stateful, so byte counts depend on batch order.
+        // Replayed on the driver in canonical morsel order — the stream is
+        // stateful, so byte counts depend on batch order.
         let mut wire = WireEncoder::new();
         let mut wire_rx = WireDecoder::new();
-        let mut exchange_wire_bytes = 0u64;
-        let mut exchange_decoded_bytes = 0u64;
         let total_morsels = morsels.len();
-        let mut morsels_done = 0usize;
-        let measure = matches!(self.config.mode, ExecutionMode::Parallel { .. });
         let mut samples: Vec<OpSample> = Vec::new();
-        let mut measured_wall_ns = 0u64;
-        // Pool-reuse stats: jobs this pool finished before this pipeline.
-        let pool_workers = pool.map_or(0, |p| p.workers() as u32);
-        let pool_reuses = pool.map_or(0, WorkerPool::jobs_completed);
-        let mut agg_partials = 0u32;
         // Fault schedule: per-morsel draws pure in (seed, pipeline, morsel),
-        // so Simulate, Parallel, and every worker count see the *same*
+        // so every execution mode and worker count sees the *same*
         // schedule. Recovery is billed below in the accounting loop; the
         // data path never observes a fault.
         let injector = self
@@ -1373,17 +1267,6 @@ impl<'a> Executor<'a> {
             .map(FaultPlan::injector);
         let fault_profile = injector.as_ref().map(|i| i.profile().clone());
         let pipe_stream = p.id.index() as u64;
-        let mut fetch_retries = 0u32;
-        let mut hedged_morsels = 0u32;
-        let mut faults_injected = 0u32;
-        let mut retry_bytes = 0u64;
-        let mut recovery = SimDuration::ZERO;
-        let mut tier_mem_hits = 0u32;
-        let mut tier_ssd_hits = 0u32;
-        let mut tier_misses = 0u32;
-        let mut tier_promotions = 0u32;
-        let mut tier_evictions = 0u32;
-        let mut tier_saved_ns = 0u64;
 
         let morsels = Arc::new(morsels);
         let ctx = Arc::new(ChainCtx {
@@ -1392,531 +1275,502 @@ impl<'a> Executor<'a> {
             src_filter,
             src_map,
             states: states.clone(),
-            measure,
+            measure: pool.is_some(),
             panic_trap: None,
         });
-        let mut chunk_states: Vec<AggregateState> = Vec::new();
 
-        {
-            // Phase 1 (parallel only): pure processing on the worker pool.
-            // The simulator processes inline, inside the accounting loop.
-            // Mergeable aggregations additionally fold worker-side: each
-            // contiguous morsel chunk folds into a chunk-local state, and
-            // the driver absorbs the states in chunk order at finalize.
-            let mut pre: Option<Vec<Option<Result<MorselTrace>>>> = match (pool, &self.config.mode)
-            {
-                (None, _) => None,
-                (Some(_), _) if morsels.is_empty() => Some(Vec::new()),
-                (Some(pool), &ExecutionMode::Parallel { workers }) => {
-                    let partial = self.config.partial_agg
-                        && limit_remaining.is_none()
-                        && !ctx.steps.iter().any(|s| matches!(s, Step::Limit { .. }))
-                        && matches!(&sink, Sink::Agg(st) if st.mergeable());
-                    if let (true, Sink::Agg(st)) = (partial, &sink) {
-                        // Chunk layout depends only on the configured worker
-                        // count and morsel count — never on pool scheduling.
-                        let chunks = (workers.max(1) * 4).min(morsels.len());
+        // With a pool, every morsel is processed up front on the workers.
+        // Mergeable aggregations additionally fold worker-side: each
+        // contiguous morsel chunk folds into a chunk-local state, and the
+        // driver absorbs the states in chunk order at finalize. Without a
+        // pool, the loop below processes each morsel when it reaches it.
+        let mut chunk_states: Vec<AggregateState> = Vec::new();
+        let mut pooled = match pool {
+            Some(pool) if !morsels.is_empty() => {
+                let outputs = match &sink {
+                    Sink::Agg(st)
+                        if self.config.partial_agg
+                            && limit_remaining.is_none()
+                            && st.mergeable() =>
+                    {
+                        // Chunk layout depends only on the pool's worker
+                        // count and the morsel count — never on scheduling.
+                        let chunks = (pool.workers() * 4).min(morsels.len());
                         let (traces, cs) =
                             pool.run_partial(ctx.clone(), morsels.clone(), st.fresh(), chunks);
-                        agg_partials = cs.len() as u32;
+                        m.agg_partials = cs.len() as u32;
                         chunk_states = cs;
-                        Some(traces)
-                    } else {
-                        Some(pool.run_traces(ctx.clone(), morsels.clone()))
+                        traces
                     }
+                    _ => pool.run_traces(ctx.clone(), morsels.clone()),
+                };
+                Some(outputs.into_iter())
+            }
+            _ => None,
+        };
+
+        // Accounting, in canonical morsel order.
+        for (mi, morsel) in morsels.iter().enumerate() {
+            if limit_remaining == Some(0) {
+                break;
+            }
+            // Pick the earliest-free alive node.
+            let (ni, _) = slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.lease_end.is_none())
+                .min_by_key(|(_, s)| s.free)
+                .ok_or_else(|| CiError::Exec("no alive nodes".into()))?;
+            let assigned_at = slots[ni].free;
+
+            // Tier-cache accounting. The simulation advances *only* here, in
+            // the driver's canonical morsel order, so hit/miss/eviction
+            // sequences are a pure function of the trace — identical across
+            // page sources and execution modes. When the page source is
+            // tiered, the physical stores mirror the simulation's
+            // admissions/evictions (workers may have prefetched ahead of
+            // this loop; promotions then benefit later pipelines, never
+            // change bytes served).
+            let tier_access: Option<(CacheAccess, Option<f64>)> = match (tier_rt, &morsel.tier_part)
+            {
+                (Some(rt), Some(tp)) if src_is_scan && morsel.fetch_bytes > 0.0 => {
+                    let (acc, svc) = {
+                        let mut sim = rt.sim.lock().unwrap();
+                        let acc =
+                            sim.access(CacheKey::new(tp.table, tp.part), tp.bytes, assigned_at);
+                        let svc = sim.service_secs(acc.level, morsel.fetch_bytes);
+                        (acc, svc)
+                    };
+                    if let Some(store) = &rt.store {
+                        for (k, lvl) in &acc.admitted {
+                            match lvl {
+                                TierLevel::Mem => store.promote_mem(k.table, k.part)?,
+                                TierLevel::Ssd => store.promote_ssd(k.table, k.part)?,
+                                TierLevel::Object => {}
+                            }
+                        }
+                        for (k, lvl) in &acc.evicted {
+                            match lvl {
+                                TierLevel::Mem => store.evict_mem(k.table, k.part),
+                                TierLevel::Ssd => store.evict_ssd(k.table, k.part),
+                                TierLevel::Object => {}
+                            }
+                        }
+                    }
+                    Some((acc, svc))
                 }
-                (Some(pool), _) => Some(pool.run_traces(ctx.clone(), morsels.clone())),
+                _ => None,
+            };
+            if let Some((acc, _)) = &tier_access {
+                match acc.level {
+                    TierLevel::Mem => m.tier_mem_hits += 1,
+                    TierLevel::Ssd => m.tier_ssd_hits += 1,
+                    TierLevel::Object => m.tier_misses += 1,
+                }
+                m.tier_promotions += acc.admitted.len() as u32;
+                m.tier_evictions += acc.evicted.len() as u32;
+            }
+
+            // Draw this morsel's faults up front: recovery decisions
+            // (reassign a preempted morsel, hedge a straggler) precede the
+            // charges they are billed under. Cache hits never fetch from the
+            // object store, so they are never fetch-fault targets — only
+            // tier misses (or untiered fetches) are.
+            let faults = injector.as_ref().map(|inj| {
+                inj.morsel_faults(
+                    pipe_stream,
+                    mi as u64,
+                    src_is_scan
+                        && morsel.fetch_bytes > 0.0
+                        && tier_access
+                            .as_ref()
+                            .is_none_or(|(a, _)| a.level == TierLevel::Object),
+                )
+            });
+            let (hedged, hedge_wins) = match (&faults, &fault_profile) {
+                (Some(f), Some(prof)) => match f.straggler {
+                    // First-result-wins: the hedge replaces the straggling
+                    // attempt only when it strictly beats it; on a tie the
+                    // canonical attempt is kept.
+                    Some(s) if s >= prof.hedge_threshold => (true, prof.hedged_factor(s) < s),
+                    _ => (false, false),
+                },
+                _ => (false, false),
             };
 
-            // Phase 2 (both modes): accounting, in canonical morsel order.
-            for (mi, morsel) in morsels.iter().enumerate() {
-                if limit_remaining == Some(0) {
-                    break;
-                }
-                // Pick the earliest-free alive node.
-                let (ni, _) = slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.lease_end.is_none())
-                    .min_by_key(|(_, s)| s.free)
-                    .ok_or_else(|| CiError::Exec("no alive nodes".into()))?;
-                let assigned_at = slots[ni].free;
+            // The morsel's trace — the one place traces are acquired.
+            // Processing is pure, so a reassigned or hedged attempt would
+            // reproduce it bit for bit: recovery is billed below, never
+            // re-executed.
+            let produced = match &mut pooled {
+                Some(outputs) => outputs.next().flatten().unwrap_or_else(|| {
+                    Err(CiError::Exec(format!(
+                        "morsel {mi} missing from worker pool output"
+                    )))
+                }),
+                None => ctx.process_morsel(morsel),
+            };
+            let mut trace = ctx.complete_trace(produced?, &mut limit_remaining)?;
 
-                // Tier-cache accounting. The simulation advances *only*
-                // here, in the driver's canonical morsel order, so hit/miss/
-                // eviction sequences are a pure function of the trace —
-                // identical across page sources and execution modes. When the
-                // page source is tiered, the physical stores mirror the
-                // simulation's admissions/evictions (workers may have
-                // prefetched ahead of this loop; promotions then benefit
-                // later pipelines, never change bytes served).
-                let tier_access: Option<(CacheAccess, Option<f64>)> =
-                    match (tier_rt, &morsel.tier_part) {
-                        (Some(rt), Some(tp)) if src_is_scan && morsel.fetch_bytes > 0.0 => {
-                            let (acc, svc) = {
-                                let mut sim = rt.sim.lock().unwrap();
-                                let acc = sim.access(
-                                    CacheKey::new(tp.table, tp.part),
-                                    tp.bytes,
-                                    assigned_at,
-                                );
-                                let svc = sim.service_secs(acc.level, morsel.fetch_bytes);
-                                (acc, svc)
-                            };
-                            if let Some(store) = &rt.store {
-                                for (k, lvl) in &acc.admitted {
-                                    match lvl {
-                                        TierLevel::Mem => store.promote_mem(k.table, k.part)?,
-                                        TierLevel::Ssd => store.promote_ssd(k.table, k.part)?,
-                                        TierLevel::Object => {}
-                                    }
-                                }
-                                for (k, lvl) in &acc.evicted {
-                                    match lvl {
-                                        TierLevel::Mem => store.evict_mem(k.table, k.part),
-                                        TierLevel::Ssd => store.evict_ssd(k.table, k.part),
-                                        TierLevel::Object => {}
-                                    }
-                                }
-                            }
-                            Some((acc, svc))
-                        }
-                        _ => None,
-                    };
-                if let Some((acc, _)) = &tier_access {
-                    match acc.level {
-                        TierLevel::Mem => tier_mem_hits += 1,
-                        TierLevel::Ssd => tier_ssd_hits += 1,
-                        TierLevel::Object => tier_misses += 1,
+            m.source_rows += trace.source_rows;
+            m.measured_wall_ns += trace.wall_ns;
+            samples.append(&mut trace.samples);
+
+            let mut secs = 0.0;
+            // Fetch time is billed apart from compute: retries and
+            // preemption re-runs repeat the *fetch*, not the whole morsel's
+            // CPU.
+            let mut fetch_secs = 0.0;
+
+            // Source costs: the fetch moves encoded bytes, the decode CPU
+            // expands them to the decoded payload. A tier hit is served at
+            // the tier's latency/bandwidth instead of the object store's;
+            // the difference is the saved fetch time.
+            if src_is_scan {
+                let object_fetch = w.scan_fetch_secs(morsel.fetch_bytes, m.dop_final);
+                let fetch = match &tier_access {
+                    Some((_, Some(svc))) => {
+                        m.tier_saved_ns += ((object_fetch - svc).max(0.0) * 1e9) as u64;
+                        *svc
                     }
-                    tier_promotions += acc.admitted.len() as u32;
-                    tier_evictions += acc.evicted.len() as u32;
-                }
-
-                // Draw this morsel's faults up front: recovery decisions
-                // (reassign a preempted morsel, hedge a straggler) precede
-                // the charges they are billed under. Cache hits never fetch
-                // from the object store, so they are never fetch-fault
-                // targets — only tier misses (or untiered fetches) are.
-                let faults = injector.as_ref().map(|inj| {
-                    inj.morsel_faults(
-                        pipe_stream,
-                        mi as u64,
-                        src_is_scan
-                            && morsel.fetch_bytes > 0.0
-                            && tier_access
-                                .as_ref()
-                                .is_none_or(|(a, _)| a.level == TierLevel::Object),
-                    )
-                });
-                let (hedged, hedge_wins) = match (&faults, &fault_profile) {
-                    (Some(f), Some(prof)) => match f.straggler {
-                        // First-result-wins: the hedge replaces the
-                        // straggling attempt only when it strictly beats it;
-                        // on a tie the canonical attempt is kept.
-                        Some(s) if s >= prof.hedge_threshold => (true, prof.hedged_factor(s) < s),
-                        _ => (false, false),
-                    },
-                    _ => (false, false),
+                    _ => object_fetch,
                 };
-                let worker_lost = faults.as_ref().is_some_and(|f| f.worker_lost.is_some());
-
-                let mut trace = match &mut pre {
-                    None => ctx.process_morsel(morsel, Some(&mut limit_remaining))?,
-                    Some(outputs) => {
-                        let pooled = match outputs[mi].take() {
-                            Some(r) => r,
-                            None => {
-                                return Err(CiError::Exec(format!(
-                                    "morsel {mi} missing from worker pool output"
-                                )))
-                            }
-                        };
-                        // Recovery re-execution (parallel mode only — the
-                        // simulator is single-threaded, so its recovery is
-                        // purely billed): a preempted worker's morsel is
-                        // reassigned and re-run on the driver; a winning
-                        // hedge's speculative duplicate replaces the
-                        // straggling attempt. Processing is pure, so the
-                        // replica is bit-identical to the attempt it
-                        // replaces — recovery changes the bill, never the
-                        // answer. Exception: on the partial-agg path the
-                        // morsel's rows were already folded into a worker
-                        // chunk state that merges wholesale at finalize, so
-                        // a driver re-run would double-count; recovery there
-                        // is billed only, like the simulator.
-                        let t = if agg_partials == 0 && (worker_lost || (hedged && hedge_wins)) {
-                            drop(pooled);
-                            ctx.process_morsel(morsel, None)?
-                        } else {
-                            pooled?
-                        };
-                        ctx.complete_trace(t, &mut limit_remaining)?
-                    }
-                };
-
-                source_rows += trace.source_rows;
-                measured_wall_ns += trace.wall_ns;
-                samples.append(&mut trace.samples);
-
-                let mut secs = 0.0;
-                // Fetch time is billed apart from compute: retries and
-                // preemption re-runs repeat the *fetch*, not the whole
-                // morsel's CPU.
-                let mut fetch_secs = 0.0;
-
-                // Source costs: the fetch moves encoded bytes, the decode
-                // CPU expands them to the decoded payload. A tier hit is
-                // served at the tier's latency/bandwidth instead of the
-                // object store's; the difference is the saved fetch time.
-                if src_is_scan {
-                    let object_fetch = w.scan_fetch_secs(morsel.fetch_bytes, cur_dop);
-                    let fetch = match &tier_access {
-                        Some((_, Some(svc))) => {
-                            tier_saved_ns += ((object_fetch - svc).max(0.0) * 1e9) as u64;
-                            *svc
-                        }
-                        _ => object_fetch,
-                    };
-                    fetch_secs += fetch;
-                    let mut cpu = w.scan_decode_secs(morsel.decode_bytes);
-                    if ctx.src_filter.is_some() {
-                        cpu += w.filter_secs(trace.source_rows as f64);
-                    }
-                    secs += cpu;
-                    node_actual[p.source()] += trace.src_post_rows;
-                    let src = &mut node_stats[p.source()];
-                    src.busy_secs += fetch + cpu;
-                    src.fetch_bytes += morsel.fetch_bytes as u64;
-                    src.decoded_bytes += morsel.decode_bytes as u64;
+                fetch_secs += fetch;
+                let mut cpu = w.scan_decode_secs(morsel.decode_bytes);
+                if ctx.src_filter.is_some() {
+                    cpu += w.filter_secs(trace.source_rows as f64);
                 }
+                secs += cpu;
+                node_actual[p.source()] += trace.src_post_rows;
+                let src = &mut node_stats[p.source()];
+                src.busy_secs += fetch + cpu;
+                src.fetch_bytes += morsel.fetch_bytes as u64;
+                src.decoded_bytes += morsel.decode_bytes as u64;
+            }
 
-                // Streaming chain: charge each recorded step.
-                for st in &trace.steps {
-                    match &ctx.steps[st.step] {
-                        Step::Filter { node, .. } | Step::Project { node, .. } => {
-                            let cpu = w.filter_secs(st.rows_in as f64);
-                            secs += cpu;
-                            node_stats[*node].busy_secs += cpu;
-                            node_actual[*node] += st.rows_out;
-                        }
-                        Step::Exchange { node } => {
-                            let mut cpu = w.exchange_cpu_secs(st.rows_in as f64);
-                            // Shuffling serializes rows onto the wire: the
-                            // payload crosses the fabric in the *wire
-                            // format* (encoded pages; dict ids + one-time
-                            // dictionary), not at decoded width.
-                            let mut shipped = st.shipped.clone().ok_or_else(|| {
-                                CiError::Exec("exchange trace lost its shipped batch".into())
-                            })?;
-                            let wire_bytes =
-                                self.ship_batch(&mut shipped, &mut wire, &mut wire_rx)?;
-                            exchange_wire_bytes += wire_bytes;
-                            exchange_decoded_bytes += shipped.byte_size() as u64;
-                            cpu += w.exchange_wire_secs(wire_bytes as f64, cur_dop);
-                            secs += cpu;
-                            node_stats[*node].busy_secs += cpu;
-                            node_stats[*node].wire_bytes += wire_bytes;
-                            node_actual[*node] += st.rows_out;
-                        }
-                        Step::Gather { node } => {
-                            // Gather is a network materialization point like
-                            // exchange: the receiver gets wire-format pages.
-                            let mut shipped = st.shipped.clone().ok_or_else(|| {
-                                CiError::Exec("gather trace lost its shipped batch".into())
-                            })?;
-                            let wire_bytes =
-                                self.ship_batch(&mut shipped, &mut wire, &mut wire_rx)?;
-                            exchange_wire_bytes += wire_bytes;
-                            exchange_decoded_bytes += shipped.byte_size() as u64;
-                            gather_bytes += wire_bytes as f64;
-                            node_stats[*node].wire_bytes += wire_bytes;
-                            node_actual[*node] += st.rows_out;
-                        }
-                        Step::Probe { join_node, .. } => {
-                            // Probe plus output materialization cost.
-                            let cpu =
-                                w.probe_secs(st.rows_in as f64) + w.filter_secs(st.rows_out as f64);
-                            secs += cpu;
-                            node_stats[*join_node].busy_secs += cpu;
-                            node_actual[*join_node] += st.rows_out;
-                        }
-                        Step::Limit { node } => {
-                            node_actual[*node] += st.rows_out;
-                        }
-                    }
-                }
-
-                // Sink. Work models charge *logical* rows (identical to the
-                // eager-materialization bill); the logical/physical gap is
-                // the copying the selection path deferred all the way here.
-                // Sink folding is order-sensitive (IEEE float sums, first-
-                // wins dictionaries), so per-worker partials merge *here*,
-                // at the pipeline breaker, in morsel order — except on the
-                // partial-agg path, where the fold was proven
-                // order-insensitive and already happened worker-side; its
-                // tail carries the counts this accounting still needs.
-                match trace.tail {
-                    Tail::AtLimit { .. } => {
-                        return Err(CiError::Exec("morsel trace ended before the sink".into()));
-                    }
-                    Tail::AggPartial {
-                        rows,
-                        physical_rows,
-                    } => {
-                        sink_rows += rows;
-                        sink_rows_physical += physical_rows;
-                        let cpu = w.agg_update_secs(rows as f64);
+            // Streaming chain: charge each recorded step.
+            for st in &trace.steps {
+                match &ctx.steps[st.step] {
+                    Step::Filter { node, .. } | Step::Project { node, .. } => {
+                        let cpu = w.filter_secs(st.rows_in as f64);
                         secs += cpu;
-                        node_stats[sink_node].busy_secs += cpu;
+                        node_stats[*node].busy_secs += cpu;
+                        node_actual[*node] += st.rows_out;
                     }
-                    Tail::Done(batch) => {
-                        sink_rows += batch.rows() as u64;
-                        sink_rows_physical += batch.physical_rows() as u64;
-                        let units = batch.rows() as f64;
-                        // A morsel that filtered down to zero rows leaves the
-                        // chain early, so its (empty) batch may still carry
-                        // an upstream schema; contributing zero rows, it must
-                        // not be buffered into schema-sensitive sinks.
-                        // Charges below are zero for it either way.
-                        match &mut sink {
-                            Sink::Build(ht) => {
-                                let cpu = w.build_secs(units);
-                                secs += cpu;
-                                node_stats[sink_node].busy_secs += cpu;
-                                if !batch.is_empty() {
-                                    // Buffered until finalize (compacts via
-                                    // concat).
-                                    timed(
-                                        measure,
-                                        "build",
-                                        units,
-                                        &mut samples,
-                                        &mut measured_wall_ns,
-                                        || ht.insert_batch(batch),
-                                    )?;
-                                }
+                    Step::Exchange { node } => {
+                        let mut cpu = w.exchange_cpu_secs(st.rows_in as f64);
+                        // Shuffling serializes rows onto the wire: the
+                        // payload crosses the fabric in the *wire format*
+                        // (encoded pages; dict ids + one-time dictionary),
+                        // not at decoded width.
+                        let mut shipped = st.shipped.clone().ok_or_else(|| {
+                            CiError::Exec("exchange trace lost its shipped batch".into())
+                        })?;
+                        let wire_bytes = self.ship_batch(&mut shipped, &mut wire, &mut wire_rx)?;
+                        m.exchange_wire_bytes += wire_bytes;
+                        m.exchange_decoded_bytes += shipped.byte_size() as u64;
+                        cpu += w.exchange_wire_secs(wire_bytes as f64, m.dop_final);
+                        secs += cpu;
+                        node_stats[*node].busy_secs += cpu;
+                        node_stats[*node].wire_bytes += wire_bytes;
+                        node_actual[*node] += st.rows_out;
+                    }
+                    Step::Gather { node } => {
+                        // Gather is a network materialization point like
+                        // exchange: the receiver gets wire-format pages.
+                        let mut shipped = st.shipped.clone().ok_or_else(|| {
+                            CiError::Exec("gather trace lost its shipped batch".into())
+                        })?;
+                        let wire_bytes = self.ship_batch(&mut shipped, &mut wire, &mut wire_rx)?;
+                        m.exchange_wire_bytes += wire_bytes;
+                        m.exchange_decoded_bytes += shipped.byte_size() as u64;
+                        gather_bytes += wire_bytes as f64;
+                        node_stats[*node].wire_bytes += wire_bytes;
+                        node_actual[*node] += st.rows_out;
+                    }
+                    Step::Probe { join_node, .. } => {
+                        // Probe plus output materialization cost.
+                        let cpu =
+                            w.probe_secs(st.rows_in as f64) + w.filter_secs(st.rows_out as f64);
+                        secs += cpu;
+                        node_stats[*join_node].busy_secs += cpu;
+                        node_actual[*join_node] += st.rows_out;
+                    }
+                    Step::Limit { node } => {
+                        node_actual[*node] += st.rows_out;
+                    }
+                }
+            }
+
+            // Sink. Work models charge *logical* rows (identical to the
+            // eager-materialization bill); the logical/physical gap is the
+            // copying the selection path deferred all the way here. Sink
+            // folding is order-sensitive (IEEE float sums, first-wins
+            // dictionaries), so it happens *here*, at the pipeline breaker,
+            // in morsel order — except on the partial-agg path, where the
+            // fold was proven order-insensitive and already happened
+            // worker-side; its tail carries the counts this accounting
+            // still needs.
+            match trace.tail {
+                Tail::AtLimit { .. } => {
+                    return Err(CiError::Exec("morsel trace ended before the sink".into()));
+                }
+                Tail::AggPartial {
+                    rows,
+                    physical_rows,
+                } => {
+                    m.sink_rows += rows;
+                    m.sink_rows_physical += physical_rows;
+                    let cpu = w.agg_update_secs(rows as f64);
+                    secs += cpu;
+                    node_stats[sink_node].busy_secs += cpu;
+                }
+                Tail::Done(batch) => {
+                    m.sink_rows += batch.rows() as u64;
+                    m.sink_rows_physical += batch.physical_rows() as u64;
+                    let units = batch.rows() as f64;
+                    // A morsel that filtered down to zero rows leaves the
+                    // chain early, so its (empty) batch may still carry an
+                    // upstream schema; contributing zero rows, it must not
+                    // be buffered into schema-sensitive sinks. Charges below
+                    // are zero for it either way.
+                    match &mut sink {
+                        Sink::Build(ht) => {
+                            let cpu = w.build_secs(units);
+                            secs += cpu;
+                            node_stats[sink_node].busy_secs += cpu;
+                            if !batch.is_empty() {
+                                // Buffered until finalize (compacts via
+                                // concat).
+                                timed(
+                                    ctx.measure,
+                                    "build",
+                                    units,
+                                    &mut samples,
+                                    &mut m.measured_wall_ns,
+                                    || ht.insert_batch(batch),
+                                )?;
                             }
-                            Sink::Agg(st) => {
-                                let cpu = w.agg_update_secs(units);
-                                secs += cpu;
-                                node_stats[sink_node].busy_secs += cpu;
-                                if !batch.is_empty() {
-                                    timed(
-                                        measure,
-                                        "agg",
-                                        units,
-                                        &mut samples,
-                                        &mut measured_wall_ns,
-                                        || st.update(&batch),
-                                    )?;
-                                }
+                        }
+                        Sink::Agg(st) => {
+                            let cpu = w.agg_update_secs(units);
+                            secs += cpu;
+                            node_stats[sink_node].busy_secs += cpu;
+                            if !batch.is_empty() {
+                                timed(
+                                    ctx.measure,
+                                    "agg",
+                                    units,
+                                    &mut samples,
+                                    &mut m.measured_wall_ns,
+                                    || st.update(&batch),
+                                )?;
                             }
-                            Sink::Sorter(sb) => {
-                                let cpu = w.filter_secs(units);
-                                secs += cpu;
-                                node_stats[sink_node].busy_secs += cpu;
-                                if !batch.is_empty() {
-                                    // Buffered until finalize (compacts via
-                                    // concat).
-                                    sb.push(batch);
-                                }
+                        }
+                        Sink::Sorter(sb) => {
+                            let cpu = w.filter_secs(units);
+                            secs += cpu;
+                            node_stats[sink_node].busy_secs += cpu;
+                            if !batch.is_empty() {
+                                // Buffered until finalize (compacts via
+                                // concat).
+                                sb.push(batch);
                             }
-                            Sink::Result => {
-                                if !batch.is_empty() {
-                                    result_batches.push(batch.compacted());
-                                }
+                        }
+                        Sink::Result => {
+                            if !batch.is_empty() {
+                                result_batches.push(batch.compacted());
                             }
                         }
                     }
                 }
+            }
 
-                // Fault recovery charges. Everything here is billing: the
-                // rows were produced above from the canonical (or replayed —
-                // bit-identical) trace, so faults change the bill and the
-                // error path, never the answer.
-                let mut recovery_secs = 0.0;
-                if let (Some(f), Some(prof)) = (&faults, &fault_profile) {
-                    if !f.is_clean() {
-                        faults_injected += f.count();
-                    }
-                    // Transient fetch failures: each failed attempt is a
-                    // billed fetch plus exponential backoff, and the bytes
-                    // move again on the retry.
-                    for k in 0..f.fetch_failures {
-                        recovery_secs += fetch_secs + prof.backoff(k).as_secs_f64();
-                        retry_bytes += morsel.fetch_bytes as u64;
-                        fetch_retries += 1;
-                    }
-                    node_stats[p.source()].retries += u64::from(f.fetch_failures);
-                    if f.fetch_permanent {
-                        // Retries exhausted on a fetch that will never
-                        // succeed. The bill above stands (the retries were
-                        // real machine time); the query dies with a typed
-                        // error rather than wrong rows or a hang.
-                        recovery += SimDuration::from_secs_f64(recovery_secs);
-                        return Err(CiError::Fault(format!(
-                            "pipeline {} morsel {mi}: object fetch still failing after {} retries",
-                            p.id.index(),
-                            prof.max_retries
-                        )));
-                    }
-                    // Throttling: the store accepted the request late.
-                    recovery_secs += f.throttles as f64 * prof.throttle_penalty.as_secs_f64();
-                    // Stragglers: below the hedge threshold the slow attempt
-                    // just runs to completion; at or above it a speculative
-                    // duplicate is launched once the straggler is detected,
-                    // the first result wins, and both attempts bill.
-                    if let Some(s) = f.straggler {
-                        if hedged {
-                            let eff = prof.hedged_factor(s);
-                            recovery_secs += secs * (eff - 1.0).max(0.0);
-                            recovery_secs += secs * (eff - prof.hedge_detect_frac).max(0.0);
-                            hedged_morsels += 1;
-                        } else {
-                            recovery_secs += secs * (s - 1.0).max(0.0);
-                        }
-                    }
-                    // Worker preemption: the fraction of the morsel done on
-                    // the lost worker is wasted, and the replacement re-runs
-                    // it from the top — including the fetch.
-                    if let Some(frac) = f.worker_lost {
-                        recovery_secs += (fetch_secs + secs) * frac + fetch_secs;
-                        retry_bytes += morsel.fetch_bytes as u64;
-                    }
-                    recovery += SimDuration::from_secs_f64(recovery_secs);
+            // Fault recovery charges. Everything here is billing: the rows
+            // were produced above from the morsel's one trace, so faults
+            // change the bill and the error path, never the answer.
+            let mut recovery_secs = 0.0;
+            if let (Some(f), Some(prof)) = (&faults, &fault_profile) {
+                if !f.is_clean() {
+                    m.faults_injected += f.count();
                 }
-                // Recovery time and the fixed per-morsel overhead are charged
-                // to the pipeline's source node: faults are morsel-level
-                // events, and the morsel originates there.
-                node_stats[p.source()].busy_secs += recovery_secs + w.morsel_overhead_secs();
-                if recovery_secs > 0.0 {
-                    node_stats[p.source()].recovery_us +=
-                        SimDuration::from_secs_f64(recovery_secs).as_micros();
+                // Transient fetch failures: each failed attempt is a billed
+                // fetch plus exponential backoff, and the bytes move again
+                // on the retry.
+                for k in 0..f.fetch_failures {
+                    recovery_secs += fetch_secs + prof.backoff(k).as_secs_f64();
+                    m.retry_bytes += morsel.fetch_bytes as u64;
+                    m.fetch_retries += 1;
                 }
+                node_stats[p.source()].retries += u64::from(f.fetch_failures);
+                if f.fetch_permanent {
+                    // Retries exhausted on a fetch that will never succeed.
+                    // The query dies with a typed error rather than wrong
+                    // rows or a hang.
+                    return Err(CiError::Fault(format!(
+                        "pipeline {} morsel {mi}: object fetch still failing after {} retries",
+                        p.id.index(),
+                        prof.max_retries
+                    )));
+                }
+                // Throttling: the store accepted the request late.
+                recovery_secs += f.throttles as f64 * prof.throttle_penalty.as_secs_f64();
+                // Stragglers: below the hedge threshold the slow attempt
+                // just runs to completion; at or above it a speculative
+                // duplicate is launched once the straggler is detected, the
+                // first result wins, and both attempts bill.
+                if let Some(s) = f.straggler {
+                    if hedged {
+                        let eff = prof.hedged_factor(s);
+                        recovery_secs += secs * (eff - 1.0).max(0.0);
+                        recovery_secs += secs * (eff - prof.hedge_detect_frac).max(0.0);
+                        m.hedged_morsels += 1;
+                    } else {
+                        recovery_secs += secs * (s - 1.0).max(0.0);
+                    }
+                }
+                // Worker preemption: the fraction of the morsel done on the
+                // lost worker is wasted, and the replacement re-runs it from
+                // the top — including the fetch.
+                if let Some(frac) = f.worker_lost {
+                    recovery_secs += (fetch_secs + secs) * frac + fetch_secs;
+                    m.retry_bytes += morsel.fetch_bytes as u64;
+                }
+                m.recovery_virtual_ns += SimDuration::from_secs_f64(recovery_secs)
+                    .as_micros()
+                    .saturating_mul(1000);
+            }
+            // Recovery time and the fixed per-morsel overhead are charged to
+            // the pipeline's source node: faults are morsel-level events,
+            // and the morsel originates there.
+            node_stats[p.source()].busy_secs += recovery_secs + w.morsel_overhead_secs();
+            if recovery_secs > 0.0 {
+                node_stats[p.source()].recovery_us +=
+                    SimDuration::from_secs_f64(recovery_secs).as_micros();
+            }
 
-                let span = SimDuration::from_secs_f64(
-                    fetch_secs + secs + recovery_secs + w.morsel_overhead_secs(),
+            let span = SimDuration::from_secs_f64(
+                fetch_secs + secs + recovery_secs + w.morsel_overhead_secs(),
+            );
+            slots[ni].free = assigned_at + span;
+            slots[ni].worked_until = Some(slots[ni].free);
+            m.busy += span;
+            m.morsels += 1;
+
+            // Morsel spans on the pipeline's virtual-time lane. Emission
+            // happens here, in canonical accounting order, so the lanes are
+            // bit-identical across execution modes.
+            if tracer.on() {
+                let lane = Lane::Pipeline(p.id.index() as u32);
+                let t0 = assigned_at.since(SimTime::ZERO).as_micros();
+                let fetch_us = SimDuration::from_secs_f64(fetch_secs).as_micros();
+                let compute_us = SimDuration::from_secs_f64(secs).as_micros();
+                if fetch_us > 0 {
+                    let mut ev =
+                        TraceEvent::span(format!("fetch m{mi}"), "fetch", lane, t0, fetch_us)
+                            .arg("slot", ni as u64)
+                            .arg("bytes", morsel.fetch_bytes);
+                    if let Some((a, _)) = &tier_access {
+                        ev = ev.arg("tier", a.level.code());
+                    }
+                    tracer.push(ev);
+                }
+                tracer.push(
+                    TraceEvent::span(
+                        format!("compute m{mi}"),
+                        "compute",
+                        lane,
+                        t0 + fetch_us,
+                        compute_us,
+                    )
+                    .arg("slot", ni as u64)
+                    .arg("rows", trace.source_rows),
                 );
-                slots[ni].free = assigned_at + span;
-                slots[ni].worked_until = Some(slots[ni].free);
-                busy += span;
-                morsels_done += 1;
-
-                // Morsel spans on the pipeline's virtual-time lane. Emission
-                // happens here, in canonical accounting order, so the lanes
-                // are bit-identical across execution modes.
-                if tracer.on() {
-                    let lane = Lane::Pipeline(p.id.index() as u32);
-                    let t0 = assigned_at.since(SimTime::ZERO).as_micros();
-                    let fetch_us = SimDuration::from_secs_f64(fetch_secs).as_micros();
-                    let compute_us = SimDuration::from_secs_f64(secs).as_micros();
-                    if fetch_us > 0 {
+                if recovery_secs > 0.0 {
+                    tracer.push(TraceEvent::span(
+                        format!("recovery m{mi}"),
+                        "recovery",
+                        lane,
+                        t0 + fetch_us + compute_us,
+                        SimDuration::from_secs_f64(recovery_secs).as_micros(),
+                    ));
+                }
+                if let Some(f) = &faults {
+                    // One instant per injected fault, at morsel start.
+                    for (kind, magnitude) in f.events() {
                         let mut ev =
-                            TraceEvent::span(format!("fetch m{mi}"), "fetch", lane, t0, fetch_us)
-                                .arg("slot", ni as u64)
-                                .arg("bytes", morsel.fetch_bytes);
-                        if let Some((a, _)) = &tier_access {
-                            ev = ev.arg("tier", a.level.code());
+                            TraceEvent::instant(format!("fault:{kind}"), "fault", lane, t0);
+                        if let Some(mag) = magnitude {
+                            ev = ev.arg("magnitude", mag);
                         }
                         tracer.push(ev);
                     }
-                    tracer.push(
-                        TraceEvent::span(
-                            format!("compute m{mi}"),
-                            "compute",
-                            lane,
-                            t0 + fetch_us,
-                            compute_us,
-                        )
-                        .arg("slot", ni as u64)
-                        .arg("rows", trace.source_rows),
-                    );
-                    if recovery_secs > 0.0 {
-                        tracer.push(TraceEvent::span(
-                            format!("recovery m{mi}"),
-                            "recovery",
-                            lane,
-                            t0 + fetch_us + compute_us,
-                            SimDuration::from_secs_f64(recovery_secs).as_micros(),
-                        ));
+                    if hedged {
+                        tracer.push(
+                            TraceEvent::instant("hedge", "fault", lane, t0)
+                                .arg("win", u64::from(hedge_wins)),
+                        );
                     }
-                    if let Some(f) = &faults {
-                        // One instant per injected fault, at morsel start.
-                        for (kind, magnitude) in f.events() {
-                            let mut ev =
-                                TraceEvent::instant(format!("fault:{kind}"), "fault", lane, t0);
-                            if let Some(m) = magnitude {
-                                ev = ev.arg("magnitude", m);
-                            }
-                            tracer.push(ev);
-                        }
-                        if hedged {
+                }
+                tracer.observe("morsel_span_us", span.as_micros());
+                tracer.observe("morsel_rows", trace.source_rows);
+            }
+
+            // Progress callback.
+            if (mi + 1) % self.config.check_interval == 0 {
+                let now = slots[ni].free;
+                let cur_dop = m.dop_final;
+                let decision = ctrl.on_progress(&PipelineProgress {
+                    pipeline: p.id,
+                    current_dop: cur_dop,
+                    morsels_done: m.morsels,
+                    morsels_total: total_morsels,
+                    source_rows_seen: m.source_rows,
+                    sink_rows_seen: m.sink_rows,
+                    planned_source_rows: plan.nodes[p.source()].est_rows,
+                    planned_sink_rows: plan.nodes[p.last()].est_rows,
+                    elapsed: now.saturating_since(start),
+                    now,
+                });
+                if let ScaleDecision::SetDop(new_dop) = decision {
+                    let new_dop = new_dop.max(1);
+                    if new_dop != cur_dop {
+                        m.resizes += 1;
+                        if tracer.on() {
                             tracer.push(
-                                TraceEvent::instant("hedge", "fault", lane, t0)
-                                    .arg("win", u64::from(hedge_wins)),
+                                TraceEvent::instant(
+                                    "resize",
+                                    "scale",
+                                    Lane::Pipeline(p.id.index() as u32),
+                                    now.since(SimTime::ZERO).as_micros(),
+                                )
+                                .arg("from", u64::from(cur_dop))
+                                .arg("to", u64::from(new_dop)),
                             );
                         }
-                    }
-                    tracer.observe("morsel_span_us", span.as_micros());
-                    tracer.observe("morsel_rows", trace.source_rows);
-                }
-
-                // Progress callback.
-                if (mi + 1) % self.config.check_interval == 0 {
-                    let now = slots[ni].free;
-                    let decision = ctrl.on_progress(&PipelineProgress {
-                        pipeline: p.id,
-                        current_dop: cur_dop,
-                        morsels_done,
-                        morsels_total: total_morsels,
-                        source_rows_seen: source_rows,
-                        sink_rows_seen: sink_rows,
-                        planned_source_rows: plan.nodes[p.source()].est_rows,
-                        planned_sink_rows: plan.nodes[p.last()].est_rows,
-                        elapsed: now.saturating_since(start),
-                        now,
-                    });
-                    if let ScaleDecision::SetDop(new_dop) = decision {
-                        let new_dop = new_dop.max(1);
-                        if new_dop != cur_dop {
-                            resizes += 1;
-                            if tracer.on() {
-                                tracer.push(
-                                    TraceEvent::instant(
-                                        "resize",
-                                        "scale",
-                                        Lane::Pipeline(p.id.index() as u32),
-                                        now.since(SimTime::ZERO).as_micros(),
-                                    )
-                                    .arg("from", u64::from(cur_dop))
-                                    .arg("to", u64::from(new_dop)),
-                                );
+                        if new_dop > cur_dop {
+                            for _ in cur_dop..new_dop {
+                                slots.push(NodeSlot {
+                                    free: now + self.config.resize_latency,
+                                    worked_until: None,
+                                    lease_start: now,
+                                    lease_end: None,
+                                });
                             }
-                            if new_dop > cur_dop {
-                                for _ in cur_dop..new_dop {
-                                    slots.push(NodeSlot {
-                                        free: now + self.config.resize_latency,
-                                        worked_until: None,
-                                        lease_start: now,
-                                        lease_end: None,
-                                    });
-                                }
-                            } else {
-                                // Retire the latest-free alive nodes.
-                                let mut alive: Vec<usize> = slots
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(_, s)| s.lease_end.is_none())
-                                    .map(|(i, _)| i)
-                                    .collect();
-                                alive.sort_by_key(|&i| std::cmp::Reverse(slots[i].free));
-                                for &i in alive.iter().take((cur_dop - new_dop) as usize) {
-                                    slots[i].lease_end = Some(slots[i].free.max(now));
-                                }
+                        } else {
+                            // Retire the latest-free alive nodes.
+                            let mut alive: Vec<usize> = slots
+                                .iter()
+                                .enumerate()
+                                .filter(|(_, s)| s.lease_end.is_none())
+                                .map(|(i, _)| i)
+                                .collect();
+                            alive.sort_by_key(|&i| std::cmp::Reverse(slots[i].free));
+                            for &i in alive.iter().take((cur_dop - new_dop) as usize) {
+                                slots[i].lease_end = Some(slots[i].free.max(now));
                             }
-                            cur_dop = new_dop;
                         }
+                        m.dop_final = new_dop;
                     }
                 }
             }
@@ -1924,7 +1778,7 @@ impl<'a> Executor<'a> {
 
         // Pipeline work finishes when the last node that actually processed
         // a morsel drains (idle late-arrivals don't extend the finish).
-        let mut finish = slots
+        m.finish = slots
             .iter()
             .filter_map(|s| s.worked_until)
             .max()
@@ -1933,8 +1787,8 @@ impl<'a> Executor<'a> {
 
         // Gather is serial at the receiver.
         if gather_bytes > 0.0 {
-            let cpu = w.gather_secs(gather_bytes, cur_dop);
-            finish += SimDuration::from_secs_f64(cpu);
+            let cpu = w.gather_secs(gather_bytes, m.dop_final);
+            m.finish += SimDuration::from_secs_f64(cpu);
             if let Some(g) = ctx.steps.iter().find_map(|s| match s {
                 Step::Gather { node } => Some(*node),
                 _ => None,
@@ -1947,22 +1801,16 @@ impl<'a> Executor<'a> {
         match sink {
             Sink::Build(mut ht) => {
                 timed(
-                    measure,
+                    ctx.measure,
                     "build",
-                    sink_rows as f64,
+                    m.sink_rows as f64,
                     &mut samples,
-                    &mut measured_wall_ns,
+                    &mut m.measured_wall_ns,
                     || ht.finalize(),
                 )?;
-                let SinkKind::JoinBuild { join } = p.sink else {
-                    unreachable!("build sink without join");
-                };
-                states.insert(join, Arc::new(NodeState::Built(ht)));
+                states.insert(sink_node, Arc::new(NodeState::Built(ht)));
             }
             Sink::Agg(mut st) => {
-                let SinkKind::Aggregate { agg } = p.sink else {
-                    unreachable!("agg sink mismatch");
-                };
                 // Partial-agg path: merge the worker chunk states in chunk
                 // order — contiguous in-order chunks reproduce the
                 // sequential fold's groups and first-appearance order
@@ -1973,40 +1821,38 @@ impl<'a> Executor<'a> {
                 }
                 let out = st.finalize()?;
                 let cpu = w.filter_secs(out.rows() as f64);
-                finish += SimDuration::from_secs_f64(cpu);
-                node_stats[agg].busy_secs += cpu;
-                node_actual[agg] += out.rows() as u64;
-                states.insert(agg, Arc::new(NodeState::Output(out)));
+                m.finish += SimDuration::from_secs_f64(cpu);
+                node_stats[sink_node].busy_secs += cpu;
+                node_actual[sink_node] += out.rows() as u64;
+                states.insert(sink_node, Arc::new(NodeState::Output(out)));
             }
             Sink::Sorter(sb) => {
-                let SinkKind::Sort { sort } = p.sink else {
-                    unreachable!("sort sink mismatch");
-                };
                 let rows = sb.rows() as f64;
                 // Sort's real work happens here, not in the buffering
                 // pushes; units follow the n·log n model term.
                 let sort_units = rows.max(2.0) * rows.max(2.0).log2();
                 let out = timed(
-                    measure,
+                    ctx.measure,
                     "sort",
                     sort_units,
                     &mut samples,
-                    &mut measured_wall_ns,
+                    &mut m.measured_wall_ns,
                     || sb.finalize(),
                 )?;
-                let cpu = w.sort_finalize_secs(rows, cur_dop);
-                finish += SimDuration::from_secs_f64(cpu);
-                node_stats[sort].busy_secs += cpu;
-                node_actual[sort] += out.rows() as u64;
-                states.insert(sort, Arc::new(NodeState::Output(out)));
+                let cpu = w.sort_finalize_secs(rows, m.dop_final);
+                m.finish += SimDuration::from_secs_f64(cpu);
+                node_stats[sink_node].busy_secs += cpu;
+                node_actual[sink_node] += out.rows() as u64;
+                states.insert(sink_node, Arc::new(NodeState::Output(out)));
             }
             Sink::Result => {}
         }
+        m.released = m.finish; // adjusted after consumers are scheduled
 
         // Pipeline extent on the driver lane, plus per-pipeline counters.
         if tracer.on() {
             let t0 = start.since(SimTime::ZERO).as_micros();
-            let end = finish.since(SimTime::ZERO).as_micros();
+            let end = m.finish.since(SimTime::ZERO).as_micros();
             tracer.push(
                 TraceEvent::span(
                     format!("pipeline {}", p.id.index()),
@@ -2015,59 +1861,18 @@ impl<'a> Executor<'a> {
                     t0,
                     end.saturating_sub(t0),
                 )
-                .arg("morsels", morsels_done as u64)
-                .arg("dop", u64::from(cur_dop))
-                .arg("source_rows", source_rows),
+                .arg("morsels", m.morsels as u64)
+                .arg("dop", u64::from(m.dop_final))
+                .arg("source_rows", m.source_rows),
             );
-            tracer.count("morsels", morsels_done as u64);
-            tracer.count("fetch_retries", u64::from(fetch_retries));
-            tracer.count("hedged_morsels", u64::from(hedged_morsels));
-            tracer.count("faults_injected", u64::from(faults_injected));
-            if tier_rt.is_some() {
-                tracer.count("tier_mem_hits", u64::from(tier_mem_hits));
-                tracer.count("tier_ssd_hits", u64::from(tier_ssd_hits));
-                tracer.count("tier_misses", u64::from(tier_misses));
-                tracer.count("tier_promotions", u64::from(tier_promotions));
-                tracer.count("tier_evictions", u64::from(tier_evictions));
+            for (name, v) in m.registry_counters(tier_rt.is_some()) {
+                tracer.count(name, v);
             }
         }
 
-        let metrics = PipelineMetrics {
-            id: p.id,
-            dop_initial: dop.max(1),
-            dop_final: cur_dop,
-            start,
-            finish,
-            released: finish, // adjusted after consumers are scheduled
-            morsels: morsels_done,
-            source_rows,
-            sink_rows,
-            sink_rows_physical,
-            exchange_wire_bytes,
-            exchange_decoded_bytes,
-            busy,
-            machine_time: SimDuration::ZERO, // filled at release
-            resizes,
-            measured_wall_ns,
-            pool_workers,
-            pool_reuses,
-            agg_partials,
-            fetch_retries,
-            hedged_morsels,
-            faults_injected,
-            recovery_virtual_ns: recovery.as_micros().saturating_mul(1000),
-            retry_bytes,
-            tier_mem_hits,
-            tier_ssd_hits,
-            tier_misses,
-            tier_promotions,
-            tier_evictions,
-            tier_saved_ns,
-        };
         Ok(PipelineRun {
-            finish,
             slots,
-            metrics,
+            metrics: m,
             samples,
         })
     }
@@ -2105,12 +1910,7 @@ impl<'a> Executor<'a> {
         Ok(bytes)
     }
 
-    fn make_sink(
-        &self,
-        plan: &PhysicalPlan,
-        p: &Pipeline,
-        _states: &mut HashMap<usize, Arc<NodeState>>,
-    ) -> Result<Sink> {
+    fn make_sink(&self, plan: &PhysicalPlan, p: &Pipeline) -> Result<Sink> {
         match p.sink {
             SinkKind::JoinBuild { join } => {
                 let PhysicalOp::HashJoin { keys } = &plan.nodes[join].op else {
@@ -2230,7 +2030,6 @@ impl<'a> Executor<'a> {
 }
 
 struct PipelineRun {
-    finish: SimTime,
     slots: Vec<NodeSlot>,
     metrics: PipelineMetrics,
     samples: Vec<OpSample>,

@@ -9,8 +9,17 @@
 use ci_types::money::Dollars;
 use ci_types::{PipelineId, SimDuration, SimTime};
 
-/// Per-pipeline execution metrics.
-#[derive(Debug, Clone, PartialEq)]
+/// Per-pipeline execution metrics. The engine builds one record at pipeline
+/// start and increments its counters in place; it is the single source of
+/// the trace registry's per-pipeline counts
+/// ([`PipelineMetrics::registry_counters`]).
+///
+/// Every field is part of the determinism contract — equal across
+/// execution modes, worker counts, page sources, and trace levels for a
+/// fixed plan, config, and fault plan — except the runtime-shape fields
+/// `measured_wall_ns`, `pool_workers`, `pool_reuses`, and `agg_partials`
+/// ([`PipelineMetrics::deterministic`] masks them).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PipelineMetrics {
     /// Which pipeline.
     pub id: PipelineId,
@@ -111,6 +120,43 @@ pub struct PipelineMetrics {
 }
 
 impl PipelineMetrics {
+    /// This record with the fields outside the determinism contract zeroed:
+    /// measured wall-clock, pool identity and reuse history, and the
+    /// partial-aggregation engagement counter. Two runs of one plan under
+    /// any execution mode, worker count, page source, or trace level agree
+    /// on the rest bit for bit.
+    pub fn deterministic(&self) -> PipelineMetrics {
+        PipelineMetrics {
+            measured_wall_ns: 0,
+            pool_workers: 0,
+            pool_reuses: 0,
+            agg_partials: 0,
+            ..self.clone()
+        }
+    }
+
+    /// The per-pipeline counters a query's trace registry sums, by registry
+    /// name. The tier-cache counters are listed only when cache accounting
+    /// ran (`tiered`), so an untiered query's registry has no tier entries.
+    pub fn registry_counters(&self, tiered: bool) -> impl Iterator<Item = (&'static str, u64)> {
+        let always = [
+            ("morsels", self.morsels as u64),
+            ("fetch_retries", u64::from(self.fetch_retries)),
+            ("hedged_morsels", u64::from(self.hedged_morsels)),
+            ("faults_injected", u64::from(self.faults_injected)),
+        ];
+        let tier = [
+            ("tier_mem_hits", u64::from(self.tier_mem_hits)),
+            ("tier_ssd_hits", u64::from(self.tier_ssd_hits)),
+            ("tier_misses", u64::from(self.tier_misses)),
+            ("tier_promotions", u64::from(self.tier_promotions)),
+            ("tier_evictions", u64::from(self.tier_evictions)),
+        ];
+        always
+            .into_iter()
+            .chain(tier.into_iter().filter(move |_| tiered))
+    }
+
     /// Node utilization: busy time over billed machine time, in `[0, 1]`.
     pub fn utilization(&self) -> f64 {
         let mt = self.machine_time.as_secs_f64();
@@ -270,22 +316,7 @@ mod tests {
             exchange_decoded_bytes: 0,
             busy: SimDuration::from_secs(6),
             machine_time: SimDuration::from_secs(16),
-            resizes: 0,
-            measured_wall_ns: 0,
-            pool_workers: 0,
-            pool_reuses: 0,
-            agg_partials: 0,
-            fetch_retries: 0,
-            hedged_morsels: 0,
-            faults_injected: 0,
-            recovery_virtual_ns: 0,
-            retry_bytes: 0,
-            tier_mem_hits: 0,
-            tier_ssd_hits: 0,
-            tier_misses: 0,
-            tier_promotions: 0,
-            tier_evictions: 0,
-            tier_saved_ns: 0,
+            ..PipelineMetrics::default()
         }
     }
 

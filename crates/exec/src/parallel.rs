@@ -9,11 +9,15 @@
 //! private pool whose threads shut down on drop (the bench harness uses
 //! that as its cold-start baseline).
 //!
-//! Two job shapes run on the pool:
+//! The pool is the engine's second trace producer: when a pipeline runs
+//! here, the driver takes each morsel's `MorselTrace` from the job's output
+//! exactly once and charges it in the same accounting loop that charges
+//! inline traces. Simulated faults are billed there and never re-run a
+//! morsel. Two job shapes run on the pool:
 //!
-//! * **Trace jobs** (`WorkerPool::run_traces`) — the classic split: each
-//!   morsel's pure processing phase produces a `MorselTrace`; everything
-//!   order-sensitive (virtual time, wire bytes, `LIMIT`, sink folds)
+//! * **Trace jobs** (`WorkerPool::run_traces`) — each morsel's pure
+//!   processing phase produces a `MorselTrace`; everything order-sensitive
+//!   (virtual time, wire bytes, `LIMIT`, sink folds, fault billing)
 //!   happens later on the driver in canonical morsel order. Workers overlap
 //!   *fetch* and *compute*: a morsel's fetch/decode stage
 //!   (`ChainCtx::fetch_morsel`) and its operator-chain stage
@@ -298,7 +302,7 @@ fn run_task(
         }
         Task::Compute(idx, fetched) => {
             let t0 = trace.map_or(0, WorkerBuffers::now_us);
-            let out = contained(|| fetched.and_then(|batch| ctx.compute_morsel(batch, None)));
+            let out = contained(|| fetched.and_then(|batch| ctx.compute_morsel(batch)));
             record_span(trace, worker, format!("compute m{idx}"), t0);
             finish_unit(shared, id, |job| {
                 job.outputs[idx] = Some(out);

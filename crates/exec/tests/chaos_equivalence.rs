@@ -151,12 +151,12 @@ fn assert_equivalent(sim: &QueryOutcome, par: &QueryOutcome, label: &str) -> Res
         "{label}: pipeline count"
     );
     for (pp, sp) in par.metrics.pipelines.iter().zip(&sim.metrics.pipelines) {
-        let mut masked = pp.clone();
-        masked.measured_wall_ns = sp.measured_wall_ns;
-        masked.pool_workers = sp.pool_workers;
-        masked.pool_reuses = sp.pool_reuses;
-        masked.agg_partials = sp.agg_partials;
-        prop_assert_eq!(&masked, sp, "{label}: pipeline {:?} metrics", sp.id);
+        prop_assert_eq!(
+            pp.deterministic(),
+            sp.deterministic(),
+            "{label}: pipeline {:?} metrics",
+            sp.id
+        );
     }
     Ok(())
 }

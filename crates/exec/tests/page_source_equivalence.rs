@@ -166,12 +166,12 @@ fn assert_equivalent(base: &QueryOutcome, got: &QueryOutcome, label: &str) {
         "{label}: pipeline count"
     );
     for (gp, bp) in got.metrics.pipelines.iter().zip(&base.metrics.pipelines) {
-        let mut masked = gp.clone();
-        masked.measured_wall_ns = bp.measured_wall_ns;
-        masked.pool_workers = bp.pool_workers;
-        masked.pool_reuses = bp.pool_reuses;
-        masked.agg_partials = bp.agg_partials;
-        assert_eq!(&masked, bp, "{label}: pipeline {:?} metrics", bp.id);
+        assert_eq!(
+            gp.deterministic(),
+            bp.deterministic(),
+            "{label}: pipeline {:?} metrics",
+            bp.id
+        );
     }
 }
 

@@ -5,7 +5,7 @@
 //! batches fold worker-side into chunk-local states instead of shipping
 //! through traces), so this suite pins the *observable* contract instead:
 //! for random mergeable-aggregation plans × worker counts × morsel sizes ×
-//! fetch modes, `ExecutionMode::Parallel` with `partial_agg` enabled must
+//! page sources, `ExecutionMode::Parallel` with `partial_agg` enabled must
 //! reproduce the simulator's result rows, group cardinalities, byte
 //! accounting, and billed `Dollars` exactly — while
 //! `PipelineMetrics::agg_partials` proves the fast path actually ran.
@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use ci_catalog::{Catalog, ErrorInjector};
-use ci_exec::{ExecutionConfig, ExecutionMode, Executor, NoScaling, QueryOutcome};
+use ci_exec::{ExecutionConfig, ExecutionMode, Executor, NoScaling, PageSourceMode, QueryOutcome};
 use ci_plan::{bind, JoinTree, PhysicalPlan, PipelineGraph};
 use ci_sql::parse;
 use ci_storage::batch::RecordBatch;
@@ -107,7 +107,7 @@ fn run_cfg(
     cat: &Catalog,
     sql: &str,
     morsel_rows: usize,
-    fetch_roundtrip: bool,
+    page_source: PageSourceMode,
     partial_agg: bool,
     mode: ExecutionMode,
 ) -> QueryOutcome {
@@ -116,7 +116,7 @@ fn run_cfg(
         cat,
         ExecutionConfig {
             morsel_rows,
-            fetch_roundtrip,
+            page_source,
             partial_agg,
             mode,
             ..ExecutionConfig::default()
@@ -149,12 +149,12 @@ fn assert_equivalent(a: &QueryOutcome, b: &QueryOutcome, label: &str) -> Result<
         "{label}: pipeline count"
     );
     for (bp, ap) in b.metrics.pipelines.iter().zip(&a.metrics.pipelines) {
-        let mut masked = bp.clone();
-        masked.measured_wall_ns = ap.measured_wall_ns;
-        masked.pool_workers = ap.pool_workers;
-        masked.pool_reuses = ap.pool_reuses;
-        masked.agg_partials = ap.agg_partials;
-        prop_assert_eq!(&masked, ap, "{label}: pipeline {:?} metrics", ap.id);
+        prop_assert_eq!(
+            bp.deterministic(),
+            ap.deterministic(),
+            "{label}: pipeline {:?} metrics",
+            ap.id
+        );
     }
     Ok(())
 }
@@ -162,7 +162,7 @@ fn assert_equivalent(a: &QueryOutcome, b: &QueryOutcome, label: &str) -> Result<
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Mergeable plans × worker counts × morsel sizes × fetch modes: the
+    /// Mergeable plans × worker counts × morsel sizes × page sources: the
     /// partial path engages (`agg_partials > 0`) and its outputs are
     /// bit-identical to the simulator *and* to the trace-fold parallel
     /// baseline.
@@ -171,14 +171,17 @@ proptest! {
         sql in select(MERGEABLE_QUERIES.to_vec()),
         workers in select(vec![1usize, 2, 4, 7]),
         morsel_rows in select(vec![256usize, 700, 2048, 65_536]),
-        fetch_roundtrip in select(vec![false, true]),
+        page_source in select(vec![PageSourceMode::Mem, PageSourceMode::Disk]),
     ) {
         let cat = catalog();
-        let label = format!("workers={workers} morsels={morsel_rows} rt={fetch_roundtrip} [{sql}]");
+        let label = format!(
+            "workers={workers} morsels={morsel_rows} source={} [{sql}]",
+            page_source.label()
+        );
         let mode = ExecutionMode::Parallel { workers };
-        let sim = run_cfg(&cat, sql, morsel_rows, fetch_roundtrip, true, ExecutionMode::Simulate);
-        let partial = run_cfg(&cat, sql, morsel_rows, fetch_roundtrip, true, mode);
-        let traced = run_cfg(&cat, sql, morsel_rows, fetch_roundtrip, false, mode);
+        let sim = run_cfg(&cat, sql, morsel_rows, page_source, true, ExecutionMode::Simulate);
+        let partial = run_cfg(&cat, sql, morsel_rows, page_source, true, mode);
+        let traced = run_cfg(&cat, sql, morsel_rows, page_source, false, mode);
 
         assert_equivalent(&sim, &partial, &format!("{label} partial-vs-sim"))?;
         assert_equivalent(&sim, &traced, &format!("{label} traced-vs-sim"))?;
@@ -210,9 +213,10 @@ proptest! {
     ) {
         let cat = catalog();
         let label = format!("workers={workers} morsels={morsel_rows} [{sql}]");
-        let sim = run_cfg(&cat, sql, morsel_rows, false, true, ExecutionMode::Simulate);
+        let source = PageSourceMode::from_env();
+        let sim = run_cfg(&cat, sql, morsel_rows, source, true, ExecutionMode::Simulate);
         let par = run_cfg(
-            &cat, sql, morsel_rows, false, true, ExecutionMode::Parallel { workers },
+            &cat, sql, morsel_rows, source, true, ExecutionMode::Parallel { workers },
         );
         assert_equivalent(&sim, &par, &label)?;
         prop_assert!(
@@ -229,12 +233,19 @@ proptest! {
 fn limit_above_aggregation_stays_equivalent() {
     let cat = catalog();
     let sql = "SELECT o_cust, COUNT(*) AS n FROM orders GROUP BY o_cust ORDER BY o_cust LIMIT 7";
-    let sim = run_cfg(&cat, sql, 700, false, true, ExecutionMode::Simulate);
+    let sim = run_cfg(
+        &cat,
+        sql,
+        700,
+        PageSourceMode::from_env(),
+        true,
+        ExecutionMode::Simulate,
+    );
     let par = run_cfg(
         &cat,
         sql,
         700,
-        false,
+        PageSourceMode::from_env(),
         true,
         ExecutionMode::Parallel { workers: 4 },
     );

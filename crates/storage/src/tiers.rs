@@ -758,6 +758,26 @@ impl TierStore {
         self.ssd_root.join(format!("t{}-p{part}.cipf", id.index()))
     }
 
+    /// Writes `table`'s files through the object store (see
+    /// [`ObjectStoreDir::ensure_table`]). When that rewrites them — the
+    /// table object changed identity, e.g. a recluster re-registered it —
+    /// the table's memory and SSD copies hold the old layout, so they are
+    /// dropped; later reads fall through to the rewritten object files.
+    pub fn ensure_table(&self, table: &Arc<Table>) -> Result<()> {
+        let before = self.store.stored(table.id);
+        let after = self.store.ensure_table(table)?;
+        if let Some(old) = before.filter(|old| !Arc::ptr_eq(old, &after)) {
+            self.mem
+                .lock()
+                .unwrap()
+                .retain(|&(id, _), _| id != table.id);
+            for part in 0..old.parts {
+                self.evict_ssd(table.id, part as u32);
+            }
+        }
+        Ok(())
+    }
+
     /// Decodes the partition once and keeps the batch in the memory tier.
     pub fn promote_mem(&self, id: TableId, part: u32) -> Result<()> {
         let batch = self.store.read_partition(id, part as usize)?;
@@ -924,7 +944,7 @@ impl TieredSource {
 
 impl PageSource for TieredSource {
     fn ensure_table(&self, table: &Arc<Table>) -> Result<()> {
-        self.tiers.object_store().ensure_table(table).map(|_| ())
+        self.tiers.ensure_table(table)
     }
 
     fn read_partition(&self, table: TableId, part: usize) -> Result<RecordBatch> {
