@@ -1309,7 +1309,9 @@ impl<'a> Executor<'a> {
             _ => None,
         };
 
-        // Accounting, in canonical morsel order.
+        // Accounting, in canonical morsel order. The driver's serial share
+        // (this loop plus sink finalize) is timed as `driver_wall_ns`.
+        let driver_t0 = Instant::now();
         for (mi, morsel) in morsels.iter().enumerate() {
             if limit_remaining == Some(0) {
                 break;
@@ -1847,6 +1849,7 @@ impl<'a> Executor<'a> {
             }
             Sink::Result => {}
         }
+        m.driver_wall_ns = driver_t0.elapsed().as_nanos() as u64;
         m.released = m.finish; // adjusted after consumers are scheduled
 
         // Pipeline extent on the driver lane, plus per-pipeline counters.

@@ -17,8 +17,8 @@ use ci_types::{PipelineId, SimDuration, SimTime};
 /// Every field is part of the determinism contract — equal across
 /// execution modes, worker counts, page sources, and trace levels for a
 /// fixed plan, config, and fault plan — except the runtime-shape fields
-/// `measured_wall_ns`, `pool_workers`, `pool_reuses`, and `agg_partials`
-/// ([`PipelineMetrics::deterministic`] masks them).
+/// `measured_wall_ns`, `driver_wall_ns`, `pool_workers`, `pool_reuses`, and
+/// `agg_partials` ([`PipelineMetrics::deterministic`] masks them).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PipelineMetrics {
     /// Which pipeline.
@@ -66,6 +66,12 @@ pub struct PipelineMetrics {
     /// from observed time. Scheduling-order dependent, so deliberately *not*
     /// part of the determinism contract.
     pub measured_wall_ns: u64,
+    /// *Measured* wall-clock nanoseconds of the driver's serial work for
+    /// this pipeline: the canonical-order accounting loop (including wire
+    /// sizing of shipped batches) plus sink finalize. Measured in every
+    /// mode; like `measured_wall_ns`, not part of the determinism contract
+    /// and not a registry counter.
+    pub driver_wall_ns: u64,
     /// Worker threads in the pool that processed this pipeline (0 in
     /// simulator mode).
     pub pool_workers: u32,
@@ -121,13 +127,14 @@ pub struct PipelineMetrics {
 
 impl PipelineMetrics {
     /// This record with the fields outside the determinism contract zeroed:
-    /// measured wall-clock, pool identity and reuse history, and the
-    /// partial-aggregation engagement counter. Two runs of one plan under
+    /// measured wall-clock (worker and driver), pool identity and reuse
+    /// history, and the partial-aggregation engagement counter. Two runs of one plan under
     /// any execution mode, worker count, page source, or trace level agree
     /// on the rest bit for bit.
     pub fn deterministic(&self) -> PipelineMetrics {
         PipelineMetrics {
             measured_wall_ns: 0,
+            driver_wall_ns: 0,
             pool_workers: 0,
             pool_reuses: 0,
             agg_partials: 0,

@@ -447,3 +447,26 @@ fn exchanges_ship_wire_format_not_decoded_bytes() {
         "wire format should shrink the exchange: wire {wire} vs decoded {decoded}"
     );
 }
+
+#[test]
+fn driver_wall_time_is_measured_and_masked() {
+    // Every pipeline times its serial driver share (accounting loop plus
+    // sink finalize) in the default mode; `deterministic()` masks it like
+    // the other wall-clock fields.
+    let cat = catalog();
+    let out = run(
+        &cat,
+        "SELECT c_region, SUM(o_total) FROM orders JOIN customers ON o_cust = c_id \
+         GROUP BY c_region",
+        2,
+    );
+    assert!(out.metrics.pipelines.len() >= 2);
+    for p in &out.metrics.pipelines {
+        assert!(
+            p.driver_wall_ns > 0,
+            "pipeline {:?} driver time unmeasured",
+            p.id
+        );
+        assert_eq!(p.deterministic().driver_wall_ns, 0);
+    }
+}

@@ -63,7 +63,7 @@
 //! round-trip exactly like storage pages do.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ci_types::{CiError, Result};
 
@@ -773,11 +773,12 @@ pub fn encoded_size(col: &ColumnData, codec: PageCodec) -> Result<u64> {
 /// The smallest-page codec for this column (ties break toward the earlier
 /// candidate, so the choice is deterministic).
 pub fn pick_codec(col: &ColumnData) -> PageCodec {
-    // Int columns take a fused stats pass: the RLE run count, the FoR
-    // min/max, and the Delta min/max-delta all fall out of one loop, where
-    // the generic path below re-scans the column once per candidate.
+    // Int columns take one stats pass: the RLE run count, the FoR
+    // min/max, the Delta min/max-delta, and the capped distinct count all
+    // fall out of one loop, where the generic path below re-scans the
+    // column once per candidate.
     if let ColumnData::Int64(v) = col {
-        return pick_int_codec(v);
+        return IntStats::of(v).pick();
     }
     let mut best = PageCodec::Plain;
     let mut best_size = u64::MAX;
@@ -794,83 +795,278 @@ pub fn pick_codec(col: &ColumnData) -> PageCodec {
 /// Hard cap on the distinct-value count an `Int64` column may have and
 /// still be a `Dict` page candidate. The dict codec only pays when NDV is
 /// tiny (enum codes, bucketed dates), and sizing the candidate costs a hash
-/// insert per row in the fused stats pass — without a cap a 200k-row
-/// high-NDV column spends more time hashing than encoding. Once tracking
-/// passes the cap the set is dropped and `Dict` is disqualified outright;
-/// the picker contract (and [`pick_codec`]'s parity with the generic
-/// argmin) is defined over this capped candidate set.
+/// probe per value change in the one-pass int stats — without a cap a
+/// 200k-row high-NDV column spends more time hashing than encoding. Once
+/// tracking passes the cap the count stops and `Dict` is disqualified
+/// outright; the picker contract (and [`pick_codec`]'s parity with the
+/// generic argmin) is defined over this capped candidate set.
 pub const DICT_INT_MAX_ENTRIES: usize = 4096;
 
-/// Single-pass `Int64` codec pick: identical sizes and tie-break order to
-/// the generic [`encoded_size`]-per-candidate loop (`Plain`, `Dict`, `Rle`,
-/// `For`, `Delta` — earlier wins on equal size), except that `Dict` is
-/// disqualified past [`DICT_INT_MAX_ENTRIES`] distinct values so the stats
-/// pass never hashes an unbounded domain.
-fn pick_int_codec(v: &[i64]) -> PageCodec {
-    let header = PAGE_HEADER_BYTES as u64;
-    let Some(&first) = v.first() else {
-        // Empty column: For ties Plain at a bare header and the tie-break
-        // prefers the earlier candidate.
-        return PageCodec::Plain;
-    };
-    let (mut min, mut max) = (first, first);
-    let mut runs = 1u64;
-    let mut prev = first;
-    let mut deltas: Option<(i64, i64)> = None;
-    let mut distinct: HashSet<i64> = HashSet::new();
-    distinct.insert(first);
-    let mut dict_viable = true;
-    for &x in &v[1..] {
-        min = min.min(x);
-        max = max.max(x);
-        runs += u64::from(x != prev);
-        let d = x.wrapping_sub(prev);
-        deltas = Some(match deltas {
-            None => (d, d),
-            Some((lo, hi)) => (lo.min(d), hi.max(d)),
-        });
-        if dict_viable && distinct.insert(x) && distinct.len() > DICT_INT_MAX_ENTRIES {
-            // Over the cap: free the set so the rest of the scan is pure
-            // min/max/run/delta arithmetic.
-            dict_viable = false;
-            distinct = HashSet::new();
+/// Everything the `Int64` codec picker, the page sizer, and the wire
+/// frame cache need to know about a column, gathered in one pass
+/// ([`IntStats::of`]). Each of those consumers then answers in O(1):
+/// [`IntStats::pick`] and [`IntStats::size`] reproduce the generic
+/// [`encoded_size`]-per-candidate argmin exactly (over the capped `Dict`
+/// candidacy), [`IntStats::frame`] is the column's own FoR/Delta frame, and
+/// [`IntStats::frame_ref_bytes`] tests reuse of a cached frame by interval.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct IntStats {
+    rows: usize,
+    /// Value range (`0, 0` when empty).
+    min: i64,
+    max: i64,
+    /// Equal-value runs (0 when empty).
+    runs: u64,
+    /// Range of the `rows − 1` consecutive wrapping deltas (`0, 0` when
+    /// there are none, matching [`delta_frame`]).
+    min_d: i64,
+    max_d: i64,
+    /// Exact distinct-value count, or `None` past [`DICT_INT_MAX_ENTRIES`].
+    distinct: Option<usize>,
+}
+
+/// Exact distinct counting up to [`DICT_INT_MAX_ENTRIES`] with an
+/// open-addressing table (multiply-shift hashing, linear probing, load
+/// ≤ ½). `EMPTY` marks free slots; the value `EMPTY` itself is tracked by
+/// a flag. The multiplier is a random odd number drawn once per process,
+/// so column values cannot be crafted to collide; the count is exact under
+/// any multiplier, so picks and byte counts stay deterministic.
+struct DistinctInts {
+    slots: Vec<i64>,
+    mul: u64,
+    shift: u32,
+    len: usize,
+    has_empty: bool,
+}
+
+fn distinct_hash_multiplier() -> u64 {
+    use std::hash::{BuildHasher, Hasher};
+    static MUL: OnceLock<u64> = OnceLock::new();
+    *MUL.get_or_init(|| {
+        let mut h = std::collections::hash_map::RandomState::new().build_hasher();
+        h.write_u64(0x9E37_79B9_7F4A_7C15);
+        h.finish() | 1
+    })
+}
+
+impl DistinctInts {
+    const EMPTY: i64 = i64::MIN;
+
+    /// A table for a column of `rows` values: sized to the most distinct
+    /// values it can ever count, so short columns do not pay for the cap.
+    fn for_rows(rows: usize) -> DistinctInts {
+        let cap = (2 * rows.min(DICT_INT_MAX_ENTRIES))
+            .next_power_of_two()
+            .max(16);
+        DistinctInts {
+            slots: vec![Self::EMPTY; cap],
+            mul: distinct_hash_multiplier(),
+            shift: u64::BITS - cap.trailing_zeros(),
+            len: 0,
+            has_empty: false,
         }
-        prev = x;
     }
-    let (min_d, max_d) = deltas.unwrap_or((0, 0));
-    let for_width = range_bit_width(max.wrapping_sub(min) as u64);
-    let delta_width = range_bit_width(max_d.wrapping_sub(min_d) as u64);
-    let entries = distinct.len();
-    let dict_size = if dict_viable {
-        header + 4 + entries as u64 * 8 + 1 + packed_id_bytes(v.len(), id_bit_width(entries))
-    } else {
-        u64::MAX
-    };
-    let candidates = [
-        (header + v.len() as u64 * 8, PageCodec::Plain),
-        (dict_size, PageCodec::Dict),
-        (header + 4 + runs * (4 + 8), PageCodec::Rle),
-        (
-            header + 8 + 1 + packed_id_bytes(v.len(), for_width),
-            PageCodec::For,
-        ),
-        (
-            header + 8 + 8 + 1 + packed_id_bytes(v.len() - 1, delta_width),
-            PageCodec::Delta,
-        ),
-    ];
-    let mut best = candidates[0];
-    for &cand in &candidates[1..] {
-        if cand.0 < best.0 {
-            best = cand;
+
+    fn count(&self) -> usize {
+        self.len + usize::from(self.has_empty)
+    }
+
+    /// Records `x`; returns the distinct count so far.
+    #[inline]
+    fn insert(&mut self, x: i64) -> usize {
+        if x == Self::EMPTY {
+            self.has_empty = true;
+            return self.count();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = ((x as u64).wrapping_mul(self.mul) >> self.shift) as usize;
+        loop {
+            let s = self.slots[i];
+            if s == x {
+                break;
+            }
+            if s == Self::EMPTY {
+                self.slots[i] = x;
+                self.len += 1;
+                break;
+            }
+            i = (i + 1) & mask;
+        }
+        self.count()
+    }
+}
+
+impl IntStats {
+    /// The one stats pass. Distinct values are counted only while the
+    /// column can still be a `Dict` candidate; past the cap the rest of the
+    /// scan is pure min/max/run/delta arithmetic.
+    fn of(v: &[i64]) -> IntStats {
+        let Some(&first) = v.first() else {
+            return IntStats {
+                rows: 0,
+                min: 0,
+                max: 0,
+                runs: 0,
+                min_d: 0,
+                max_d: 0,
+                distinct: Some(0),
+            };
+        };
+        let (mut min, mut max) = (first, first);
+        let mut runs = 1u64;
+        let (mut min_d, mut max_d) = match v.get(1) {
+            Some(&second) => {
+                let d = second.wrapping_sub(first);
+                (d, d)
+            }
+            None => (0, 0),
+        };
+        let mut prev = first;
+        let mut seen = DistinctInts::for_rows(v.len());
+        seen.insert(first);
+        let mut rest = &v[1..];
+        while let Some((&x, tail)) = rest.split_first() {
+            rest = tail;
+            min = min.min(x);
+            max = max.max(x);
+            let d = x.wrapping_sub(prev);
+            min_d = min_d.min(d);
+            max_d = max_d.max(d);
+            if x != prev {
+                runs += 1;
+                if seen.insert(x) > DICT_INT_MAX_ENTRIES {
+                    prev = x;
+                    break;
+                }
+            }
+            prev = x;
+        }
+        for &x in rest {
+            min = min.min(x);
+            max = max.max(x);
+            let d = x.wrapping_sub(prev);
+            min_d = min_d.min(d);
+            max_d = max_d.max(d);
+            runs += u64::from(x != prev);
+            prev = x;
+        }
+        IntStats {
+            rows: v.len(),
+            min,
+            max,
+            runs,
+            min_d,
+            max_d,
+            distinct: Some(seen.count()).filter(|&n| n <= DICT_INT_MAX_ENTRIES),
         }
     }
-    best.1
+
+    fn for_width(&self) -> u32 {
+        range_bit_width(self.max.wrapping_sub(self.min) as u64)
+    }
+
+    fn delta_width(&self) -> u32 {
+        range_bit_width(self.max_d.wrapping_sub(self.min_d) as u64)
+    }
+
+    /// Exact `encoded_size(col, codec)`; `None` only for `Dict` past the
+    /// distinct cap (the count was not kept).
+    fn size(&self, codec: PageCodec) -> Option<u64> {
+        let header = PAGE_HEADER_BYTES as u64;
+        let rows = self.rows as u64;
+        Some(match codec {
+            PageCodec::Plain => header + rows * 8,
+            PageCodec::Dict => {
+                let entries = self.distinct?;
+                header
+                    + 4
+                    + entries as u64 * 8
+                    + 1
+                    + packed_id_bytes(self.rows, id_bit_width(entries))
+            }
+            PageCodec::Rle => header + 4 + self.runs * (4 + 8),
+            PageCodec::For if self.rows == 0 => header,
+            PageCodec::For => header + 8 + 1 + packed_id_bytes(self.rows, self.for_width()),
+            PageCodec::Delta if self.rows == 0 => header,
+            PageCodec::Delta => {
+                header + 8 + 8 + 1 + packed_id_bytes(self.rows - 1, self.delta_width())
+            }
+        })
+    }
+
+    /// The smallest-page codec: identical sizes and tie-break order to the
+    /// generic per-candidate loop (`Plain`, `Dict`, `Rle`, `For`, `Delta` —
+    /// earlier wins on equal size), except that `Dict` is disqualified past
+    /// [`DICT_INT_MAX_ENTRIES`] distinct values. An empty column picks
+    /// `Plain` (For ties it at a bare header).
+    fn pick(&self) -> PageCodec {
+        let mut best = (u64::MAX, PageCodec::Plain);
+        for c in PageCodec::candidates(DataType::Int64) {
+            if let Some(size) = self.size(c).filter(|&s| s < best.0) {
+                best = (size, c);
+            }
+        }
+        best.1
+    }
+
+    /// The column's own frame under a FoR/Delta `codec` (`None` for other
+    /// codecs and for empty columns).
+    fn frame(&self, codec: PageCodec) -> Option<IntFrame> {
+        match codec {
+            _ if self.rows == 0 => None,
+            PageCodec::For => Some(IntFrame::For {
+                min: self.min,
+                width: self.for_width(),
+            }),
+            PageCodec::Delta => Some(IntFrame::Delta {
+                min_d: self.min_d,
+                width: self.delta_width(),
+            }),
+            _ => None,
+        }
+    }
+
+    /// [`frame_ref_bytes`] answered from the stats: every offset fits the
+    /// cached frame iff the column's value (or delta) range lies inside the
+    /// frame's covered interval `[base, base + 2^width − 1]`. When that
+    /// interval wraps past `i64::MAX` it is not one signed interval, and a
+    /// Delta column under 2 rows has no delta range, so those two cases
+    /// fall back to the exact scan.
+    fn frame_ref_bytes(&self, frame: IntFrame, v: &[i64]) -> Option<u64> {
+        let (base, width, lo, hi) = match frame {
+            IntFrame::For { min, width } => (min, width, self.min, self.max),
+            IntFrame::Delta { .. } if self.rows < 2 => return frame_ref_bytes(frame, v),
+            IntFrame::Delta { min_d, width } => (min_d, width, self.min_d, self.max_d),
+        };
+        let fits = if width >= 64 {
+            true
+        } else {
+            match base.checked_add(((1u64 << width) - 1) as i64) {
+                Some(top) => base <= lo && hi <= top,
+                None => return frame_ref_bytes(frame, v),
+            }
+        };
+        fits.then(|| frame_ref_page_bytes(frame, self.rows))
+    }
 }
 
 /// Page metadata under the size-based codec picker — what
 /// [`crate::partition::MicroPartition`] stores per column.
 pub fn best_page(col: &ColumnData) -> EncodedPage {
+    if let ColumnData::Int64(v) = col {
+        let stats = IntStats::of(v);
+        let codec = stats.pick();
+        return EncodedPage {
+            codec,
+            encoded_bytes: stats.size(codec).expect("picked codec is sized"),
+            decoded_bytes: col.byte_size() as u64,
+            rows: v.len(),
+            dict_bytes: match (codec, stats.distinct) {
+                (PageCodec::Dict, Some(entries)) => 4 + entries as u64 * 8,
+                _ => 0,
+            },
+        };
+    }
     let codec = pick_codec(col);
     let encoded_bytes = encoded_size(col, codec).expect("picked codec applies");
     let dict_bytes = if codec == PageCodec::Dict {
@@ -1681,20 +1877,30 @@ fn fits_bits(off: u64, width: u32) -> bool {
 /// sender must re-derive). Shared by size-only accounting and the real
 /// encoder so the two can never disagree on the reuse decision.
 fn frame_ref_bytes(frame: IntFrame, v: &[i64]) -> Option<u64> {
-    let header = PAGE_HEADER_BYTES as u64 + 4;
-    match frame {
+    let fits = match frame {
         IntFrame::For { min, width } => v
             .iter()
-            .all(|&x| fits_bits(x.wrapping_sub(min) as u64, width))
-            .then(|| header + packed_id_bytes(v.len(), width)),
+            .all(|&x| fits_bits(x.wrapping_sub(min) as u64, width)),
         IntFrame::Delta { min_d, width } => v
             .windows(2)
-            .all(|w| fits_bits(w[1].wrapping_sub(w[0]).wrapping_sub(min_d) as u64, width))
-            .then(|| header + 8 + packed_id_bytes(v.len() - 1, width)),
+            .all(|w| fits_bits(w[1].wrapping_sub(w[0]).wrapping_sub(min_d) as u64, width)),
+    };
+    fits.then(|| frame_ref_page_bytes(frame, v.len()))
+}
+
+/// Wire bytes of a `PAGE_FLAG_DICT_REF` int page of `rows >= 1` rows under
+/// `frame`: header + stream id, (Delta: the chunk's first value), packed
+/// offsets.
+fn frame_ref_page_bytes(frame: IntFrame, rows: usize) -> u64 {
+    let header = PAGE_HEADER_BYTES as u64 + 4;
+    match frame {
+        IntFrame::For { width, .. } => header + packed_id_bytes(rows, width),
+        IntFrame::Delta { width, .. } => header + 8 + packed_id_bytes(rows - 1, width),
     }
 }
 
 /// How one int column rides the wire, chosen by [`WireEncoder::plan_ints`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IntPlan {
     /// Self-contained flagless page (Plain/RLE won, or the column is empty).
     Page { codec: PageCodec, bytes: u64 },
@@ -1757,28 +1963,23 @@ impl WireEncoder {
     /// than the alternative (ties prefer reuse); otherwise ship the chunk's
     /// own best page — carrying a fresh frame when FoR/Delta won the pick,
     /// which replaces the cache entry (mid-stream re-derivation).
-    fn plan_ints(&mut self, col: &ColumnData, v: &[i64], stream_col: u32) -> Result<IntPlan> {
-        let codec = pick_codec(col);
-        let page_bytes = encoded_size(col, codec)?;
+    ///
+    /// Every answer comes from one [`IntStats`] pass over the column.
+    fn plan_ints(&mut self, v: &[i64], stream_col: u32) -> IntPlan {
+        let stats = IntStats::of(v);
+        let codec = stats.pick();
+        let page_bytes = stats.size(codec).expect("picked codec is sized");
         let reuse = (!v.is_empty())
             .then(|| self.frames.get(&stream_col))
             .flatten()
-            .and_then(|&f| frame_ref_bytes(f, v).map(|bytes| (f, bytes)));
-        Ok(match codec {
-            PageCodec::For | PageCodec::Delta if !v.is_empty() => {
+            .and_then(|&f| stats.frame_ref_bytes(f, v).map(|bytes| (f, bytes)));
+        match stats.frame(codec) {
+            Some(fresh) => {
                 let fresh_bytes = page_bytes + 4;
                 match reuse {
                     Some((frame, bytes)) if bytes <= fresh_bytes => IntPlan::Reuse { frame, bytes },
                     _ => {
-                        let frame = match codec {
-                            PageCodec::For => {
-                                for_frame(col)?.map(|(min, width)| IntFrame::For { min, width })
-                            }
-                            _ => delta_frame(col)?
-                                .map(|(_, min_d, width)| IntFrame::Delta { min_d, width }),
-                        }
-                        .ok_or_else(|| err("picked frame codec derives no frame".into()))?;
-                        self.frames.insert(stream_col, frame);
+                        self.frames.insert(stream_col, fresh);
                         IntPlan::Fresh {
                             codec,
                             bytes: fresh_bytes,
@@ -1786,14 +1987,14 @@ impl WireEncoder {
                     }
                 }
             }
-            _ => match reuse {
+            None => match reuse {
                 Some((frame, bytes)) if bytes <= page_bytes => IntPlan::Reuse { frame, bytes },
                 _ => IntPlan::Page {
                     codec,
                     bytes: page_bytes,
                 },
             },
-        })
+        }
     }
 
     /// Wire bytes for one column at stream position `stream_col`, updating
@@ -1813,7 +2014,7 @@ impl WireEncoder {
                 }
                 Ok(bytes)
             }
-            ColumnData::Int64(v) => Ok(match self.plan_ints(col, v, stream_col)? {
+            ColumnData::Int64(v) => Ok(match self.plan_ints(v, stream_col) {
                 IntPlan::Page { bytes, .. }
                 | IntPlan::Fresh { bytes, .. }
                 | IntPlan::Reuse { bytes, .. } => bytes,
@@ -1877,7 +2078,7 @@ impl WireEncoder {
                 Ok(out)
             }
             ColumnData::Int64(v) => {
-                let plan = self.plan_ints(col, v, stream_col)?;
+                let plan = self.plan_ints(v, stream_col);
                 let out = match plan {
                     IntPlan::Page { codec, bytes } => {
                         let blob = encode_column(col, codec)?.1;
@@ -2243,6 +2444,290 @@ mod tests {
             .map(|i| ((i * 7) % 512) as i64 * 0x0123_4567_89ab)
             .collect();
         assert_eq!(pick_codec(&ColumnData::Int64(small)), PageCodec::Dict);
+    }
+
+    /// The multi-pass int wire planner that [`IntStats`] replaced, kept as
+    /// the parity oracle: a capped argmin over one [`encoded_size`] scan per
+    /// candidate, a sizing scan of the pick, the [`frame_ref_bytes`] reuse
+    /// scan, and a [`for_frame`]/[`delta_frame`] scan for the fresh frame.
+    #[derive(Default)]
+    struct MultiPassPlanner {
+        frames: HashMap<u32, IntFrame>,
+    }
+
+    impl MultiPassPlanner {
+        fn plan(&mut self, v: &[i64], stream_col: u32) -> IntPlan {
+            let col = ColumnData::Int64(v.to_vec());
+            let mut codec = PageCodec::Plain;
+            let mut best = u64::MAX;
+            for c in PageCodec::candidates(DataType::Int64) {
+                if c == PageCodec::Dict && referenced_entries(&col).0 > DICT_INT_MAX_ENTRIES {
+                    continue;
+                }
+                let size = encoded_size(&col, c).unwrap();
+                if size < best {
+                    (codec, best) = (c, size);
+                }
+            }
+            let page_bytes = encoded_size(&col, codec).unwrap();
+            let reuse = (!v.is_empty())
+                .then(|| self.frames.get(&stream_col))
+                .flatten()
+                .and_then(|&f| frame_ref_bytes(f, v).map(|bytes| (f, bytes)));
+            match codec {
+                PageCodec::For | PageCodec::Delta if !v.is_empty() => {
+                    let fresh_bytes = page_bytes + 4;
+                    match reuse {
+                        Some((frame, bytes)) if bytes <= fresh_bytes => {
+                            IntPlan::Reuse { frame, bytes }
+                        }
+                        _ => {
+                            let frame = match codec {
+                                PageCodec::For => for_frame(&col)
+                                    .unwrap()
+                                    .map(|(min, width)| IntFrame::For { min, width }),
+                                _ => delta_frame(&col)
+                                    .unwrap()
+                                    .map(|(_, min_d, width)| IntFrame::Delta { min_d, width }),
+                            }
+                            .unwrap();
+                            self.frames.insert(stream_col, frame);
+                            IntPlan::Fresh {
+                                codec,
+                                bytes: fresh_bytes,
+                            }
+                        }
+                    }
+                }
+                _ => match reuse {
+                    Some((frame, bytes)) if bytes <= page_bytes => IntPlan::Reuse { frame, bytes },
+                    _ => IntPlan::Page {
+                        codec,
+                        bytes: page_bytes,
+                    },
+                },
+            }
+        }
+    }
+
+    /// Which [`IntPlan`] variants a stream exercised: `[Page, Fresh, Reuse]`.
+    type PlanKinds = [bool; 3];
+
+    /// Drives one int stream through the one-pass planner (size-only and
+    /// real serialization, each on its own encoder) and the multi-pass
+    /// oracle. After every chunk the plans, the byte counts, the real blob
+    /// length, and all three frame caches must agree, and the receiver
+    /// must decode the blob back to the chunk. Every non-empty chunk is
+    /// also tested against every frame the stream has cached so far: the
+    /// stats' interval test must give the scan's answer, including for
+    /// pairs the planner never reaches (e.g. a 1-row chunk on a Delta frame
+    /// loses to Plain whatever the reuse test says).
+    fn check_int_stream_parity(chunks: &[Vec<i64>]) -> std::result::Result<PlanKinds, String> {
+        let mut sized = WireEncoder::new();
+        let mut real = WireEncoder::new();
+        let mut rx = WireDecoder::new();
+        let mut oracle = MultiPassPlanner::default();
+        let mut kinds = [false; 3];
+        let mut frames_seen: Vec<IntFrame> = Vec::new();
+        for (i, chunk) in chunks.iter().enumerate() {
+            let stats = IntStats::of(chunk);
+            for &f in frames_seen.iter().filter(|_| !chunk.is_empty()) {
+                let (fast, scan) = (stats.frame_ref_bytes(f, chunk), frame_ref_bytes(f, chunk));
+                if fast != scan {
+                    return Err(format!(
+                        "chunk {i} on {f:?}: reuse {fast:?} vs scan {scan:?}"
+                    ));
+                }
+            }
+            let plan = sized.plan_ints(chunk, 0);
+            let expected = oracle.plan(chunk, 0);
+            if plan != expected {
+                return Err(format!("chunk {i}: plan {plan:?} vs oracle {expected:?}"));
+            }
+            let (kind, bytes) = match plan {
+                IntPlan::Page { bytes, .. } => (0, bytes),
+                IntPlan::Fresh { bytes, .. } => (1, bytes),
+                IntPlan::Reuse { bytes, .. } => (2, bytes),
+            };
+            kinds[kind] = true;
+            let col = ColumnData::Int64(chunk.clone());
+            let blob = real.encode_column(&col, 0).map_err(|e| e.to_string())?;
+            if blob.len() as u64 != bytes {
+                return Err(format!(
+                    "chunk {i}: {plan:?} serialized to {} bytes",
+                    blob.len()
+                ));
+            }
+            if sized.frames != oracle.frames || real.frames != oracle.frames {
+                return Err(format!(
+                    "chunk {i}: frame caches diverged: sized {:?} real {:?} oracle {:?}",
+                    sized.frames, real.frames, oracle.frames
+                ));
+            }
+            let back = rx.decode_column(&blob).map_err(|e| e.to_string())?;
+            if back != col {
+                return Err(format!("chunk {i}: wire round trip changed the values"));
+            }
+            frames_seen.extend(oracle.frames.get(&0).filter(|f| !frames_seen.contains(f)));
+        }
+        Ok(kinds)
+    }
+
+    /// A splitmix64 step: deterministic fixture noise.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (*state ^ (*state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `ndv` distinct wide values in a shuffled order, each repeated as a
+    /// run of `run` rows, the whole sequence `cycles` times: unsorted with
+    /// long runs, or (`run` 1, several cycles) run-free with Dict the
+    /// argmin while it is a candidate.
+    fn shuffled_runs(ndv: usize, run: usize, cycles: usize, seed: u64) -> Vec<i64> {
+        let mut state = seed;
+        let mut order: Vec<i64> = (0..ndv as i64).map(|k| k * 0x0123_4567).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, (mix(&mut state) % (i as u64 + 1)) as usize);
+        }
+        let once: Vec<i64> = order
+            .into_iter()
+            .flat_map(|x| std::iter::repeat_n(x, run))
+            .collect();
+        once.repeat(cycles)
+    }
+
+    #[test]
+    fn one_pass_int_planner_matches_multipass_oracle() {
+        let stride: Vec<i64> = (0..3000).map(|i| 50_000 + i * 7).collect();
+        let top = i64::MAX - 100;
+        let streams: Vec<Vec<Vec<i64>>> = vec![
+            vec![
+                vec![],
+                vec![5],
+                vec![5, 9],
+                vec![],
+                vec![3; 700],
+                vec![3; 2],
+            ],
+            // Sorted strides: Delta, then offsets-only chunks on its frame,
+            // then a 1-row chunk (no deltas at all).
+            stride
+                .chunks(512)
+                .map(<[i64]>::to_vec)
+                .chain([vec![42]])
+                .collect(),
+            // Small domains: FoR, a jump out of the frame, then back in.
+            vec![
+                (0..600).map(|i| 1_000 + (i * 37) % 90).collect(),
+                (0..600).map(|i| 1_000 + (i * 11) % 64).collect(),
+                (0..600).map(|i| 9_000_000 + (i * 13) % 200).collect(),
+                (0..600).map(|i| 9_000_000 + (i * 5) % 100).collect(),
+            ],
+            // NDV exactly at and one past the Dict cap: with long runs,
+            // and run-free where Dict wins at the cap and is refused past it.
+            vec![shuffled_runs(DICT_INT_MAX_ENTRIES, 6, 1, 1)],
+            vec![shuffled_runs(DICT_INT_MAX_ENTRIES + 1, 6, 1, 2)],
+            vec![
+                shuffled_runs(DICT_INT_MAX_ENTRIES + 1, 1, 8, 3),
+                shuffled_runs(DICT_INT_MAX_ENTRIES, 1, 8, 4),
+            ],
+            // Extremes: a FoR frame near i64::MAX whose covered range wraps
+            // to i64::MIN (the interval test must fall back to the scan,
+            // which accepts a chunk straddling the wrap), and Delta frames
+            // over wrapping deltas.
+            vec![
+                (0..400).map(|i| top + i % 101).collect(),
+                (0..400)
+                    .map(|i| if i % 2 == 0 { top + 50 } else { i64::MIN + 20 })
+                    .collect(),
+                vec![i64::MIN, i64::MAX, i64::MIN, i64::MAX],
+                vec![i64::MAX; 40],
+                vec![i64::MIN, i64::MIN + 1, i64::MIN + 2],
+                vec![i64::MAX - 2, i64::MAX - 1, i64::MAX, i64::MIN, i64::MIN + 1],
+                vec![i64::MIN; 3],
+                vec![i64::MIN],
+            ],
+        ];
+        let mut kinds = [false; 3];
+        for (si, stream) in streams.iter().enumerate() {
+            let seen =
+                check_int_stream_parity(stream).unwrap_or_else(|e| panic!("stream {si}: {e}"));
+            for (k, s) in kinds.iter_mut().zip(seen) {
+                *k |= s;
+            }
+        }
+        assert_eq!(
+            kinds, [true; 3],
+            "fixtures must exercise every IntPlan variant"
+        );
+        // The wrapped-frame fixture really takes the scan fallback: its
+        // second chunk spans both ends of the i64 range yet fits the frame.
+        let wrapped = &streams[6];
+        let frame = IntStats::of(&wrapped[0]).frame(PageCodec::For).unwrap();
+        let IntFrame::For { min, width } = frame else {
+            unreachable!("FoR pick derives a FoR frame")
+        };
+        assert!(
+            min.checked_add((1i64 << width) - 1).is_none(),
+            "frame must wrap"
+        );
+        let straddle = IntStats::of(&wrapped[1]);
+        assert!(straddle.min < min, "chunk must straddle the wrap");
+        assert!(straddle.frame_ref_bytes(frame, &wrapped[1]).is_some());
+        // The run-free cap fixtures reach the cap: Dict wins at NDV 4096
+        // and is refused at 4097.
+        assert_eq!(IntStats::of(&streams[5][1]).pick(), PageCodec::Dict);
+        assert_ne!(IntStats::of(&streams[5][0]).pick(), PageCodec::Dict);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// Random multi-chunk streams of every int shape the picker tells
+        /// apart agree with the multi-pass oracle chunk for chunk.
+        #[test]
+        fn one_pass_int_planner_matches_oracle_on_random_streams(
+            shape in 0u8..7,
+            seed in proptest::strategy::any::<u64>(),
+            sizes in proptest::collection::vec(0usize..700, 1..6),
+        ) {
+            let mut state = seed;
+            let base = (mix(&mut state) as i64) >> (mix(&mut state) % 64);
+            let mut next = base;
+            let chunks: Vec<Vec<i64>> = sizes
+                .iter()
+                .map(|&n| {
+                    let mut r = mix(&mut state);
+                    // Most chunks continue the stream; some jump, so frames
+                    // re-derive mid-stream.
+                    if r % 4 == 0 {
+                        next = next.wrapping_add((mix(&mut state) >> (r % 64)) as i64);
+                    }
+                    (0..n)
+                        .map(|i| {
+                            r = mix(&mut state);
+                            let x = match shape {
+                                0 => next,
+                                1 => next.wrapping_add(i as i64 * (1 + (seed % 9) as i64)),
+                                2 => next.wrapping_add((r % (2 + seed % 300)) as i64),
+                                3 => next.wrapping_add(((i / 9) as u64 * 0x9E37_79B9 % 200) as i64),
+                                4 => [i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1, next]
+                                    [(r % 5) as usize],
+                                5 => i64::MAX.wrapping_sub((r % 64) as i64 - 32),
+                                _ => r as i64,
+                            };
+                            if shape == 1 && i + 1 == n {
+                                next = x;
+                            }
+                            x
+                        })
+                        .collect()
+                })
+                .collect();
+            check_int_stream_parity(&chunks)?;
+        }
     }
 
     #[test]

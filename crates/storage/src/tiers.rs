@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ci_types::{CiError, Result, TableId};
 
@@ -74,6 +74,13 @@ const KIND_INT_DICT_REF: u8 = 2;
 
 fn serr(msg: String) -> CiError {
     CiError::Storage(msg)
+}
+
+/// Locks `m`, surfacing poisoning (a thread panicked while holding the
+/// lock) as a typed storage error instead of a second panic.
+fn lock<'a, T>(m: &'a Mutex<T>, what: &str) -> Result<MutexGuard<'a, T>> {
+    m.lock()
+        .map_err(|_| serr(format!("{what} lock poisoned by a panicked thread")))
 }
 
 /// FNV-1a 64-bit — tiny, dependency-free, deterministic.
@@ -622,13 +629,26 @@ impl ObjectStoreDir {
         self.tables.lock().unwrap().get(&id).cloned()
     }
 
+    fn tables(&self) -> Result<MutexGuard<'_, HashMap<TableId, Arc<StoredTable>>>> {
+        lock(&self.tables, "object store table registry")
+    }
+
+    /// The registered metadata for `id`; an error when it is not
+    /// registered or the registry lock is poisoned.
+    fn registered(&self, id: TableId) -> Result<Arc<StoredTable>> {
+        self.tables()?
+            .get(&id)
+            .cloned()
+            .ok_or_else(|| serr(format!("table {id} is not registered in the page store")))
+    }
+
     /// Writes (or re-writes, if the table object changed identity) every
     /// partition of `table` as a `CIPF` file plus the manifest. Idempotent
     /// per `Arc` identity: repeated calls with the same `Arc<Table>` only
     /// pay a pointer compare.
     pub fn ensure_table(&self, table: &Arc<Table>) -> Result<Arc<StoredTable>> {
         let ident = Arc::as_ptr(table) as usize;
-        let mut tables = self.tables.lock().unwrap();
+        let mut tables = self.tables()?;
         if let Some(st) = tables.get(&table.id) {
             if st.ident == ident {
                 return Ok(st.clone());
@@ -685,15 +705,13 @@ impl ObjectStoreDir {
             dicts,
             ident: 0,
         });
-        self.tables.lock().unwrap().insert(id, st.clone());
+        self.tables()?.insert(id, st.clone());
         Ok(st)
     }
 
     /// Reads and decodes one partition file, verifying its checksum.
     pub fn read_partition(&self, id: TableId, part: usize) -> Result<RecordBatch> {
-        let stored = self
-            .stored(id)
-            .ok_or_else(|| serr(format!("table {id} is not registered in the page store")))?;
+        let stored = self.registered(id)?;
         let path = self.partition_path(id, part);
         let bytes =
             std::fs::read(&path).map_err(|e| serr(format!("reading {}: {e}", path.display())))?;
@@ -754,6 +772,10 @@ impl TierStore {
         &self.store
     }
 
+    fn mem(&self) -> Result<MutexGuard<'_, HashMap<(TableId, u32), RecordBatch>>> {
+        lock(&self.mem, "memory tier")
+    }
+
     fn ssd_path(&self, id: TableId, part: u32) -> PathBuf {
         self.ssd_root.join(format!("t{}-p{part}.cipf", id.index()))
     }
@@ -764,13 +786,10 @@ impl TierStore {
     /// the table's memory and SSD copies hold the old layout, so they are
     /// dropped; later reads fall through to the rewritten object files.
     pub fn ensure_table(&self, table: &Arc<Table>) -> Result<()> {
-        let before = self.store.stored(table.id);
+        let before = self.store.tables()?.get(&table.id).cloned();
         let after = self.store.ensure_table(table)?;
         if let Some(old) = before.filter(|old| !Arc::ptr_eq(old, &after)) {
-            self.mem
-                .lock()
-                .unwrap()
-                .retain(|&(id, _), _| id != table.id);
+            self.mem()?.retain(|&(id, _), _| id != table.id);
             for part in 0..old.parts {
                 self.evict_ssd(table.id, part as u32);
             }
@@ -781,7 +800,7 @@ impl TierStore {
     /// Decodes the partition once and keeps the batch in the memory tier.
     pub fn promote_mem(&self, id: TableId, part: u32) -> Result<()> {
         let batch = self.store.read_partition(id, part as usize)?;
-        self.mem.lock().unwrap().insert((id, part), batch);
+        self.mem()?.insert((id, part), batch);
         Ok(())
     }
 
@@ -809,15 +828,12 @@ impl TierStore {
     /// only where the bytes physically came from.
     pub fn read_partition(&self, id: TableId, part: usize) -> Result<(RecordBatch, ServedFrom)> {
         let key = (id, part as u32);
-        if let Some(b) = self.mem.lock().unwrap().get(&key) {
+        if let Some(b) = self.mem()?.get(&key) {
             return Ok((b.clone(), ServedFrom::Mem));
         }
         let ssd = self.ssd_path(id, key.1);
         if ssd.exists() {
-            let stored = self
-                .store
-                .stored(id)
-                .ok_or_else(|| serr(format!("table {id} is not registered in the page store")))?;
+            let stored = self.store.registered(id)?;
             let bytes =
                 std::fs::read(&ssd).map_err(|e| serr(format!("reading {}: {e}", ssd.display())))?;
             let batch = decode_partition(&bytes, &stored, &format!("{}", ssd.display()))?;
@@ -876,12 +892,12 @@ impl MemSource {
 
 impl PageSource for MemSource {
     fn ensure_table(&self, table: &Arc<Table>) -> Result<()> {
-        self.tables.lock().unwrap().insert(table.id, table.clone());
+        lock(&self.tables, "memory page source")?.insert(table.id, table.clone());
         Ok(())
     }
 
     fn read_partition(&self, table: TableId, part: usize) -> Result<RecordBatch> {
-        let tables = self.tables.lock().unwrap();
+        let tables = lock(&self.tables, "memory page source")?;
         let t = tables
             .get(&table)
             .ok_or_else(|| serr(format!("table {table} is not registered in the page store")))?;
@@ -1065,6 +1081,57 @@ mod tests {
         tiers.evict_ssd(table.id, 0);
         let (_, s3) = tiers.read_partition(table.id, 0).unwrap();
         assert_eq!(s3, ServedFrom::Object);
+    }
+
+    /// Panics in a scoped thread while holding `m`, leaving it poisoned.
+    fn poison<T: Send>(m: &Mutex<T>) {
+        let joined = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = m.lock().unwrap();
+                panic!("poisoning the lock on purpose");
+            })
+            .join()
+        });
+        assert!(joined.is_err() && m.is_poisoned());
+    }
+
+    fn assert_poisoned<T: fmt::Debug>(r: Result<T>, what: &str) {
+        match r {
+            Err(CiError::Storage(msg)) => assert!(msg.contains("poisoned"), "{what}: {msg}"),
+            other => panic!("{what}: expected a typed poisoning error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn poisoned_locks_fail_typed_not_panic() {
+        let table = sample_table(6);
+        let store = Arc::new(ObjectStoreDir::temp().unwrap());
+        store.ensure_table(&table).unwrap();
+        let tiers = TierStore::new(store.clone()).unwrap();
+        tiers.promote_ssd(table.id, 0).unwrap();
+
+        // A poisoned memory tier fails the reads and promotions that need
+        // it; the object store underneath stays usable.
+        poison(&tiers.mem);
+        assert_poisoned(tiers.promote_mem(table.id, 0), "promote_mem");
+        assert_poisoned(tiers.read_partition(table.id, 0), "tier read");
+        assert!(store.read_partition(table.id, 0).is_ok());
+
+        // A poisoned table registry fails every registry path.
+        poison(&store.tables);
+        assert_poisoned(store.ensure_table(&table), "ensure_table");
+        assert_poisoned(store.attach(table.id, table.schema.clone()), "attach");
+        assert_poisoned(store.read_partition(table.id, 0), "object read");
+        let fresh = TierStore::new(store.clone()).unwrap();
+        assert_poisoned(fresh.ensure_table(&table), "tier ensure_table");
+        assert_poisoned(fresh.read_partition(table.id, 0), "tier read via object");
+
+        // The memory page source too, through the trait.
+        let mem = MemSource::new();
+        mem.ensure_table(&table).unwrap();
+        poison(&mem.tables);
+        assert_poisoned(mem.ensure_table(&table), "mem ensure_table");
+        assert_poisoned(mem.read_partition(table.id, 0), "mem read");
     }
 
     #[test]
